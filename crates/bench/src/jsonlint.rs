@@ -13,6 +13,47 @@
 //! `BENCH_scaling.json` baseline through it. One parser serves both
 //! entry points, so a document `validate` accepts is exactly a document
 //! `parse` can load.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels: the daemon parses untrusted
+//! request lines, and an unbounded recursive descent would let one line
+//! of `[[[[…` overflow a worker's stack and abort the process. Any input
+//! yields `Ok` or a [`JsonError`], never a panic.
+
+use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why a document was rejected, with the byte offset of the violation.
+/// Displays as `byte N: message`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonError {
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Offset of the opening bracket one level too deep.
+        offset: usize,
+    },
+    /// Any other departure from the grammar.
+    Syntax {
+        /// Offset of the offending byte.
+        offset: usize,
+        /// What was wrong there.
+        msg: String,
+    },
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::TooDeep { offset } => {
+                write!(f, "byte {offset}: nesting deeper than {MAX_DEPTH} levels")
+            }
+            JsonError::Syntax { offset, msg } => write!(f, "byte {offset}: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
 
 /// A parsed JSON value. Object keys keep their document order; duplicate
 /// keys are kept as-is ([`Json::get`] answers the first).
@@ -78,38 +119,49 @@ impl Json {
 
 /// Validate `text` as a single JSON document. Returns `Err` with a byte
 /// offset and message on the first violation.
-pub fn validate(text: &str) -> Result<(), String> {
+pub fn validate(text: &str) -> Result<(), JsonError> {
     parse(text).map(|_| ())
 }
 
 /// Parse `text` as a single JSON document into a [`Json`] DOM. Accepts
 /// and rejects exactly what [`validate`] does, with the same errors.
-pub fn parse(text: &str) -> Result<Json, String> {
+pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
-        b: text.as_bytes(),
+        text,
         i: 0,
+        depth: 0,
     };
     p.ws();
     let doc = p.value()?;
     p.ws();
-    if p.i != p.b.len() {
+    if p.i != text.len() {
         return Err(p.err("trailing data after document"));
     }
     Ok(doc)
 }
 
 struct Parser<'a> {
-    b: &'a [u8],
+    text: &'a str,
     i: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("byte {}: {msg}", self.i)
+    fn err(&self, msg: &str) -> JsonError {
+        JsonError::Syntax {
+            offset: self.i,
+            msg: msg.to_string(),
+        }
+    }
+
+    /// The unparsed rest of the input, as bytes.
+    fn rest(&self) -> &[u8] {
+        &self.text.as_bytes()[self.i..]
     }
 
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+        self.rest().first().copied()
     }
 
     fn ws(&mut self) {
@@ -118,7 +170,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
         if self.peek() == Some(c) {
             self.i += 1;
             Ok(())
@@ -127,8 +179,8 @@ impl Parser<'_> {
         }
     }
 
-    fn lit(&mut self, s: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(s.as_bytes()) {
+    fn lit(&mut self, s: &str) -> Result<(), JsonError> {
+        if self.rest().starts_with(s.as_bytes()) {
             self.i += s.len();
             Ok(())
         } else {
@@ -136,10 +188,21 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::TooDeep { offset: self.i });
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.lit("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.lit("false").map(|()| Json::Bool(false)),
@@ -150,7 +213,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         self.ws();
         let mut members = Vec::new();
@@ -178,7 +241,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         self.ws();
         let mut items = Vec::new();
@@ -201,7 +264,7 @@ impl Parser<'_> {
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, String> {
+    fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut code = 0u32;
         for _ in 0..4 {
             match self.peek() {
@@ -215,7 +278,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -261,7 +324,7 @@ impl Parser<'_> {
                             // grammar accepts lone surrogates, but Rust
                             // strings cannot carry them).
                             if (0xd800..0xdc00).contains(&code)
-                                && self.b[self.i..].starts_with(b"\\u")
+                                && self.rest().starts_with(b"\\u")
                             {
                                 let mark = self.i;
                                 self.i += 2;
@@ -284,18 +347,21 @@ impl Parser<'_> {
                     return Err(self.err("raw control character in string"))
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 is fine: the input is a &str, so
-                    // copy the whole char.
-                    let rest = std::str::from_utf8(&self.b[self.i..]).unwrap();
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.i += ch.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // escape or control byte in one go. Every byte of a
+                    // multi-byte UTF-8 char is >= 0x80, so the run ends on
+                    // a char boundary of the (already valid) input.
+                    let start = self.i;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.i += 1;
+                    }
+                    out.push_str(&self.text[start..self.i]);
                 }
             }
         }
     }
 
-    fn digits(&mut self) -> Result<(), String> {
+    fn digits(&mut self) -> Result<(), JsonError> {
         let start = self.i;
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.i += 1;
@@ -307,7 +373,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
@@ -334,7 +400,7 @@ impl Parser<'_> {
             }
             self.digits()?;
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
+        let text = &self.text[start..self.i];
         let v: f64 = text
             .parse()
             .map_err(|e| self.err(&format!("unparseable number `{text}`: {e}")))?;
@@ -344,7 +410,7 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, validate, Json};
+    use super::{parse, validate, Json, JsonError, MAX_DEPTH};
 
     #[test]
     fn accepts_valid_documents() {
@@ -386,7 +452,7 @@ mod tests {
 
     #[test]
     fn error_reports_byte_offset() {
-        let e = validate("[1, NaN]").unwrap_err();
+        let e = validate("[1, NaN]").unwrap_err().to_string();
         assert!(e.starts_with("byte 4:"), "{e}");
     }
 
@@ -415,6 +481,61 @@ mod tests {
             Json::Str("\u{1f600}".to_string())
         );
         assert_eq!(parse("\"\\ud800x\"").unwrap(), Json::Str("\u{fffd}x".to_string()));
+    }
+
+    #[test]
+    fn parse_copies_multibyte_utf8() {
+        // 2-, 3- and 4-byte chars, alone, in runs, and at both ends.
+        for text in [
+            "\u{e9}",
+            "\u{20ac}",
+            "\u{1f600}",
+            "a\u{e9}\u{20ac}\u{1f600}z",
+            "\u{1f600}\u{1f600}",
+        ] {
+            let doc = format!("\"{text}\"");
+            assert_eq!(parse(&doc).unwrap(), Json::Str(text.to_string()), "{doc}");
+        }
+        let doc = parse("{\"\u{e9}t\u{e9}\":[\"\u{4e2d}\u{6587}\"]}").unwrap();
+        assert_eq!(
+            doc.get("\u{e9}t\u{e9}").and_then(Json::as_array),
+            Some(&[Json::Str("\u{4e2d}\u{6587}".to_string())][..])
+        );
+    }
+
+    #[test]
+    fn parse_decodes_escapes_next_to_multibyte_chars() {
+        assert_eq!(
+            parse("\"\u{e9}\\n\u{20ac}\\t\u{1f600}\\\"\u{1f600}\"").unwrap(),
+            Json::Str("\u{e9}\n\u{20ac}\t\u{1f600}\"\u{1f600}".to_string())
+        );
+        assert_eq!(
+            parse("\"\u{20ac}\\u00e9\u{1f600}\\ud83d\\ude00\u{e9}\"").unwrap(),
+            Json::Str("\u{20ac}\u{e9}\u{1f600}\u{1f600}\u{e9}".to_string())
+        );
+        // A raw control byte right after a multi-byte char is still
+        // rejected, at its own offset.
+        let e = validate("\"\u{20ac}\u{1}\"").unwrap_err();
+        assert_eq!(e.to_string(), "byte 4: raw control character in string");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(validate(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            validate(&nested(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { offset: MAX_DEPTH })
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(matches!(validate(&objects), Err(JsonError::TooDeep { .. })));
+        // Far past the cap (and unterminated): an error, not a stack overflow.
+        let deep = format!("{{\"op\":\"run\",\"spec\":{}", "[".repeat(100_000));
+        assert!(matches!(parse(&deep), Err(JsonError::TooDeep { .. })));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod wildcard;
 pub use faultstats::FaultCounters;
 pub use obs::{traced_preposted, traced_unexpected, TracedRun};
 pub use postloop::{postloop_rtt, PostLoopPoint};
-pub use preposted::{preposted_latency, preposted_latency_cfg, PrepostedPoint};
+pub use preposted::{preposted_cluster, preposted_latency, preposted_latency_cfg, PrepostedPoint};
 pub use soak::{run_soak, Scenario, SoakConfig, SoakOutcome};
 pub use sweep::run_parallel;
 pub use unexpected::{unexpected_latency, unexpected_latency_cfg, UnexpectedPoint};

@@ -9,7 +9,7 @@
 use crate::faultstats::FaultCounters;
 use crate::NicVariant;
 use mpiq_dessim::Time;
-use mpiq_mpi::script::mark_log;
+use mpiq_mpi::script::{mark_log, MarkLog};
 use mpiq_mpi::{AppProgram, Cluster, ClusterConfig, Script};
 
 /// One point of the Fig. 5 parameter space.
@@ -60,6 +60,29 @@ pub fn preposted_latency_cfg(
     p: PrepostedPoint,
     parallelism: usize,
 ) -> PrepostedResult {
+    let (mut cluster, marks) = preposted_cluster(nic, p, parallelism);
+    cluster.run();
+
+    let m = marks.borrow();
+    assert_eq!(m.len(), 2, "sender must mark start and end");
+    let rtt = m[1].1 - m[0].1;
+    let fw = cluster.nic(1).firmware().stats();
+    PrepostedResult {
+        latency: rtt / 2,
+        sw_traversed: fw.posted_entries_traversed,
+        rx_l1_misses: cluster.nic(1).core().mem().l1().misses(),
+        faults: FaultCounters::collect(&cluster),
+    }
+}
+
+/// Build (but do not run) the two-rank cluster behind one Fig. 5 point,
+/// with the sender's start/end marks. [`preposted_latency_cfg`] runs it
+/// and measures; tests run it to pin the whole statistics dump.
+pub fn preposted_cluster(
+    nic: mpiq_nic::NicConfig,
+    p: PrepostedPoint,
+    parallelism: usize,
+) -> (Cluster, MarkLog) {
     let depth = ((p.queue_len as f64) * p.fraction).floor() as usize;
     let depth = depth.min(p.queue_len);
     let marks = mark_log();
@@ -102,25 +125,14 @@ pub fn preposted_latency_cfg(
     b1.send(0, PONG_TAG, p.msg_size);
     let p1 = b1.build(mark_log());
 
-    let mut cluster = Cluster::new(
+    let cluster = Cluster::new(
         ClusterConfig::builder(nic).parallelism(parallelism).build(),
         vec![
             Box::new(p0) as Box<dyn AppProgram>,
             Box::new(p1) as Box<dyn AppProgram>,
         ],
     );
-    cluster.run();
-
-    let m = marks.borrow();
-    assert_eq!(m.len(), 2, "sender must mark start and end");
-    let rtt = m[1].1 - m[0].1;
-    let fw = cluster.nic(1).firmware().stats();
-    PrepostedResult {
-        latency: rtt / 2,
-        sw_traversed: fw.posted_entries_traversed,
-        rx_l1_misses: cluster.nic(1).core().mem().l1().misses(),
-        faults: FaultCounters::collect(&cluster),
-    }
+    (cluster, marks)
 }
 
 #[cfg(test)]

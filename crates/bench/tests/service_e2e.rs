@@ -1,12 +1,14 @@
 //! End-to-end exercise of the experiment server over a real TCP socket:
 //! a cold fig5 sweep, a byte-identical warm hit that must be at least an
-//! order of magnitude faster, progress streaming, and a lint pass over
-//! every line the server says.
+//! order of magnitude faster, progress streaming, a lint pass over every
+//! line the server says, and a hostile request that must not kill it.
 
 use mpiq_bench::jsonlint::{self, Json};
 use mpiq_bench::service::{self, Server, ServiceConfig};
 use mpiq_bench::spec::{BenchSpec, RunSpec};
 use mpiq_bench::NicVariant;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Instant;
 
 fn start_server() -> (String, std::thread::JoinHandle<()>) {
@@ -137,6 +139,44 @@ fn concurrent_identical_submissions_execute_once() {
         assert_eq!(s.runs_executed, 1, "the job must execute exactly once");
     }
     assert_eq!(submissions.iter().filter(|s| !s.cached).count(), 1, "exactly one cold submission");
+
+    service::shutdown(&addr).expect("shutdown");
+    handle.join().expect("server thread exits");
+}
+
+/// Regression: one request line nested 100k levels deep used to overflow
+/// a worker's stack in the recursive-descent parser and abort the whole
+/// daemon. It must come back as an error event, and the daemon must still
+/// answer the next request.
+#[test]
+fn deeply_nested_request_is_refused_and_the_daemon_survives() {
+    let (addr, handle) = start_server();
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let line = format!("{{\"op\":\"run\",\"spec\":{}\n", "[".repeat(100_000));
+    stream
+        .write_all(line.as_bytes())
+        .expect("send hostile line");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("read reply");
+    let doc = jsonlint::parse(reply.trim()).expect("error reply is valid JSON");
+    assert_eq!(
+        doc.get("event").and_then(Json::as_str),
+        Some("error"),
+        "{reply}"
+    );
+    let message = doc
+        .get("message")
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("nesting deeper than"), "{message}");
+
+    let status_line = service::status(&addr).expect("daemon still answers status");
+    let status = jsonlint::parse(&status_line).expect("status is valid JSON");
+    assert_eq!(status.get("runs_executed").and_then(Json::as_u64), Some(0));
 
     service::shutdown(&addr).expect("shutdown");
     handle.join().expect("server thread exits");

@@ -789,9 +789,13 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
 
+    /// Shared record of every delivery: (time, receiving component tag,
+    /// counter value).
+    type DeliveryLog = Arc<Mutex<Vec<(Time, u32, u64)>>>;
+
     /// Forwards a decrementing counter over its one output port.
     struct Fwd {
-        log: Arc<Mutex<Vec<(Time, u32, u64)>>>,
+        log: DeliveryLog,
         tag: u32,
     }
     impl Component for Fwd {
@@ -807,11 +811,7 @@ mod tests {
 
     /// A ring of `shards` components, one per shard, each forwarding to
     /// the next with `latency`.
-    fn build_ring(
-        nshards: usize,
-        latency: Time,
-        threads: usize,
-    ) -> (ShardedSim, Arc<Mutex<Vec<(Time, u32, u64)>>>) {
+    fn build_ring(nshards: usize, latency: Time, threads: usize) -> (ShardedSim, DeliveryLog) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = ShardedSim::new(7, nshards);
         sim.set_threads(threads);

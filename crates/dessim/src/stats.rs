@@ -39,12 +39,6 @@ impl Stats {
         self.counters.insert(key.to_string(), v);
     }
 
-    /// Track a maximum (highwater gauges).
-    pub fn set_max(&mut self, key: &str, v: u64) {
-        let e = self.counters.entry(key.to_string()).or_insert(0);
-        *e = (*e).max(v);
-    }
-
     /// Read a counter; absent counters read zero.
     pub fn get(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
@@ -113,15 +107,11 @@ mod tests {
     }
 
     #[test]
-    fn set_and_set_max() {
+    fn set_overwrites() {
         let mut s = Stats::new();
         s.set("g", 10);
         s.set("g", 3);
         assert_eq!(s.get("g"), 3);
-        s.set_max("m", 5);
-        s.set_max("m", 2);
-        s.set_max("m", 9);
-        assert_eq!(s.get("m"), 9);
     }
 
     #[test]

@@ -66,15 +66,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotone use stamp; smallest = least recently used.
-    stamp: u64,
-}
-
 /// Result of one cache access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheOutcome {
@@ -84,11 +75,24 @@ pub struct CacheOutcome {
     pub writeback: Option<u64>,
 }
 
-/// One cache level.
+/// One cache level, stored as flat structure-of-arrays: way `w` of set
+/// `s` lives at index `s * assoc + w` of `keys`, `stamps` and `dirty`, so
+/// a set's tags are one contiguous run.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    assoc: usize,
+    sets: u64,
+    /// `(log2 line_bytes, log2 sets)` when both are powers of two, so
+    /// indexing is a shift and a mask instead of two divisions.
+    shifts: Option<(u32, u32)>,
+    /// Per-way tag key: `tag + 1` for a valid line, `0` for an invalid one.
+    keys: Vec<u64>,
+    /// Per-way use stamp: the access tick of the last touch, `0` for an
+    /// invalid line. Valid stamps are unique and `>= 1`, so the first
+    /// minimum in a set is its first invalid way, else its true-LRU way.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -99,9 +103,21 @@ impl Cache {
     /// Build an empty (all-invalid) cache.
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets();
+        assert!(
+            cfg.line_bytes * sets > 1,
+            "a one-set cache of 1-byte lines cannot encode every tag"
+        );
+        let shifts = (cfg.line_bytes.is_power_of_two() && sets.is_power_of_two())
+            .then(|| (cfg.line_bytes.trailing_zeros(), sets.trailing_zeros()));
+        let ways = (sets * cfg.assoc) as usize;
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.assoc as usize]; sets as usize],
+            assoc: cfg.assoc as usize,
+            sets,
+            shifts,
+            keys: vec![0; ways],
+            stamps: vec![0; ways],
+            dirty: vec![false; ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -114,55 +130,66 @@ impl Cache {
         self.cfg
     }
 
+    /// `(first way index of the set, tag key)` for `addr`.
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+        let (set, tag) = match self.shifts {
+            Some((line_shift, set_shift)) => {
+                let line = addr >> line_shift;
+                (line & (self.sets - 1), line >> set_shift)
+            }
+            None => {
+                let line = addr / self.cfg.line_bytes;
+                (line % self.sets, line / self.sets)
+            }
+        };
+        (set as usize * self.assoc, tag + 1)
     }
 
     /// Access one address. Write accesses mark the line dirty
     /// (write-allocate: a write miss fetches the line first).
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         self.tick += 1;
-        let (set_idx, tag) = self.index(addr);
-        let num_sets = self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
+        let (base, key) = self.index(addr);
+        let ways = base..base + self.assoc;
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.stamp = self.tick;
-            line.dirty |= is_write;
-            self.hits += 1;
-            return CacheOutcome {
-                hit: true,
-                writeback: None,
-            };
+        // One pass finds the line or, failing that, the victim: the first
+        // minimum stamp — an invalid way if one exists, else true LRU.
+        let mut i = base;
+        let mut oldest = u64::MAX;
+        for (w, (&k, &stamp)) in self.keys[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .enumerate()
+        {
+            if k == key {
+                self.stamps[base + w] = self.tick;
+                self.dirty[base + w] |= is_write;
+                self.hits += 1;
+                return CacheOutcome {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            if stamp < oldest {
+                oldest = stamp;
+                i = base + w;
+            }
         }
 
         self.misses += 1;
-        // Victim: an invalid way if one exists, else true LRU.
-        let victim = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (l.valid, l.stamp))
-            .map(|(i, _)| i)
-            .expect("associativity >= 1");
-        let old = set[victim];
-        let writeback = if old.valid && old.dirty {
+        let old = self.keys[i];
+        let writeback = if old != 0 && self.dirty[i] {
             self.writebacks += 1;
             // Reconstruct the victim's base address from tag + set index.
-            let line_no = old.tag * num_sets + set_idx as u64;
-            Some(line_no * self.cfg.line_bytes)
+            let set = (base / self.assoc) as u64;
+            Some(((old - 1) * self.sets + set) * self.cfg.line_bytes)
         } else {
             None
         };
-        set[victim] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            stamp: self.tick,
-        };
+        self.keys[i] = key;
+        self.stamps[i] = self.tick;
+        self.dirty[i] = is_write;
         CacheOutcome {
             hit: false,
             writeback,
@@ -171,17 +198,15 @@ impl Cache {
 
     /// Probe without touching replacement state or statistics.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (base, key) = self.index(addr);
+        self.keys[base..base + self.assoc].contains(&key)
     }
 
     /// Invalidate everything (e.g. between measurement phases, or on RESET).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = Line::default();
-            }
-        }
+        self.keys.fill(0);
+        self.stamps.fill(0);
+        self.dirty.fill(false);
     }
 
     /// Hits so far.

@@ -20,6 +20,6 @@ pub mod cache;
 pub mod dram;
 pub mod hierarchy;
 
-pub use cache::{Cache, CacheConfig};
+pub use cache::{Cache, CacheConfig, CacheOutcome};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{Access, MemSystem, MemSystemConfig};

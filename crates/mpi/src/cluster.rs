@@ -710,13 +710,25 @@ impl Cluster {
     }
 
     /// The cluster's statistics, merged across engine shards in shard
-    /// order (single-engine clusters have exactly one "shard"). Owned:
-    /// the sharded engine assembles it on demand.
+    /// order (single-engine clusters have exactly one "shard"), with each
+    /// NIC's counters rendered into it. Owned: it is assembled on demand.
     pub fn stats(&self) -> Stats {
-        match &self.engine {
+        let mut stats = match &self.engine {
             Engine::Single(sim) => sim.stats().clone(),
             Engine::Sharded(sim) => sim.stats_merged(),
+        };
+        // Ranks on one node share its NIC (block distribution), so the
+        // distinct NICs are the runs of equal ids.
+        let mut nics = self.nics.clone();
+        nics.dedup();
+        for id in nics {
+            let nic: &Nic = match &self.engine {
+                Engine::Single(sim) => sim.component(id).expect("nic downcast"),
+                Engine::Sharded(sim) => sim.component(id).expect("nic downcast"),
+            };
+            nic.render_stats(&mut stats);
         }
+        stats
     }
 
     /// The metrics registry, merged across engine shards.

@@ -13,7 +13,7 @@ use crate::host_iface::HostRequest;
 use crate::reliability::Reliability;
 use mpiq_cpusim::Core;
 use mpiq_dessim::prelude::*;
-use mpiq_dessim::{watchdog::Health, ComponentFaultKind, FaultSchedule, TraceEvent};
+use mpiq_dessim::{watchdog::Health, ComponentFaultKind, FaultSchedule, Stats, TraceEvent};
 use mpiq_net::{Message, MsgKind, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -106,6 +106,12 @@ pub struct Nic {
     /// dead ([`ReliabilityConfig::keepalive_timeout`]).
     keepalive: Time,
     stat_prefix: String,
+    /// Queue-length high-water marks, sampled at every publish point.
+    /// Held here rather than in the firmware so they survive a restart.
+    posted_len_max: u64,
+    unexpected_len_max: u64,
+    /// Has this NIC published yet? Its counters render only once it has.
+    published: bool,
     /// Time-weighted queue-occupancy accumulation (for the application
     /// queue-characterization study, after refs [8,9]). Accumulated in
     /// entry·picoseconds — whole-ns accumulation silently dropped sub-ns
@@ -137,6 +143,9 @@ impl Nic {
             crashed: false,
             keepalive: cfg.link.keepalive_timeout,
             stat_prefix: format!("nic{node}"),
+            posted_len_max: 0,
+            unexpected_len_max: 0,
+            published: false,
             last_sample: Time::ZERO,
             posted_integral_ps: 0,
             unexpected_integral_ps: 0,
@@ -459,8 +468,41 @@ impl Nic {
         self.publish_stats(ctx);
     }
 
-    fn publish_stats(&self, ctx: &mut Ctx<'_>) {
-        let s = ctx.stats();
+    /// Note a publish point: the NIC now has counters to report, and the
+    /// queue-length high-water marks take a sample. The counters
+    /// themselves are rendered on read ([`Nic::render_stats`]); only the
+    /// latency histograms are pushed here, and only when metrics are on.
+    fn publish_stats(&mut self, ctx: &mut Ctx<'_>) {
+        self.published = true;
+        self.posted_len_max = self.posted_len_max.max(self.fw.posted_len() as u64);
+        self.unexpected_len_max = self.unexpected_len_max.max(self.fw.unexpected_len() as u64);
+        let m = ctx.metrics();
+        if m.enabled() {
+            let p = &self.stat_prefix;
+            let h = self.fw.hists();
+            m.publish_hist(&format!("{p}.match.posted.alpu_hit"), &h.posted_alpu_hit);
+            m.publish_hist(&format!("{p}.match.posted.hash"), &h.posted_hash);
+            m.publish_hist(&format!("{p}.match.posted.linear"), &h.posted_linear);
+            m.publish_hist(
+                &format!("{p}.match.unexpected.alpu_hit"),
+                &h.unexpected_alpu_hit,
+            );
+            m.publish_hist(
+                &format!("{p}.match.unexpected.linear"),
+                &h.unexpected_linear,
+            );
+            if let Some(link) = &self.link {
+                m.publish_hist(&format!("{p}.link.backoff"), link.backoff_hist());
+            }
+        }
+    }
+
+    /// Write this NIC's counters into `s` under its `nic<N>.` prefix. A
+    /// NIC that has not yet processed an event writes nothing.
+    pub fn render_stats(&self, s: &mut Stats) {
+        if !self.published {
+            return;
+        }
         let p = &self.stat_prefix;
         let fw = self.fw.stats();
         s.set(&format!("{p}.l1.misses"), self.core.mem().l1().misses());
@@ -477,11 +519,8 @@ impl Nic {
         );
         s.set(&format!("{p}.unexpected.arrivals"), fw.unexpected_arrivals);
         s.set(&format!("{p}.insert_sessions"), fw.insert_sessions);
-        s.set_max(&format!("{p}.posted.len_max"), self.fw.posted_len() as u64);
-        s.set_max(
-            &format!("{p}.unexpected.len_max"),
-            self.fw.unexpected_len() as u64,
-        );
+        s.set(&format!("{p}.posted.len_max"), self.posted_len_max);
+        s.set(&format!("{p}.unexpected.len_max"), self.unexpected_len_max);
         s.set(
             &format!("{p}.posted.occ_integral"),
             self.posted_integral_ps / 1_000,
@@ -491,7 +530,7 @@ impl Nic {
             self.unexpected_integral_ps / 1_000,
         );
         s.set(&format!("{p}.sampled_until_ns"), self.last_sample.ns());
-        // Fault/recovery counters: published only for configurations that
+        // Fault/recovery counters: rendered only for configurations that
         // can produce them, so fault-free stat dumps stay unchanged.
         if self.fw.posted_alpu.is_some() || self.fw.unexpected_alpu.is_some() {
             s.set(&format!("{p}.alpu.resets"), fw.alpu_resets);
@@ -560,26 +599,6 @@ impl Nic {
                 let ls = link.stats();
                 s.set(&format!("{p}.flow.credits_granted"), ls.credits_granted);
                 s.set(&format!("{p}.flow.credits_received"), ls.credits_received);
-            }
-        }
-        // Latency histograms go to the separate metrics registry; the
-        // enabled check keeps unmetered runs free of the key formatting.
-        let m = ctx.metrics();
-        if m.enabled() {
-            let h = self.fw.hists();
-            m.publish_hist(&format!("{p}.match.posted.alpu_hit"), &h.posted_alpu_hit);
-            m.publish_hist(&format!("{p}.match.posted.hash"), &h.posted_hash);
-            m.publish_hist(&format!("{p}.match.posted.linear"), &h.posted_linear);
-            m.publish_hist(
-                &format!("{p}.match.unexpected.alpu_hit"),
-                &h.unexpected_alpu_hit,
-            );
-            m.publish_hist(
-                &format!("{p}.match.unexpected.linear"),
-                &h.unexpected_linear,
-            );
-            if let Some(link) = &self.link {
-                m.publish_hist(&format!("{p}.link.backoff"), link.backoff_hist());
             }
         }
     }
