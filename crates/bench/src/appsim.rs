@@ -241,9 +241,9 @@ fn build_programs(pattern: AppPattern) -> Vec<Script> {
     }
 }
 
-/// Run one pattern on one NIC configuration and collect the queue study.
-/// `parallelism` selects the execution engine (0 = hub, `n >= 1` =
-/// sharded on `n` threads); the result is identical either way.
+/// Run one pattern on one NIC configuration and collect the queue study
+/// on `parallelism` engine threads (0 and 1 both mean one); the result
+/// is identical at any count.
 pub fn run_app(nic: NicConfig, pattern: AppPattern, parallelism: usize) -> AppStudy {
     let programs = build_programs(pattern)
         .into_iter()

@@ -35,9 +35,9 @@ const FILLER_TAG: u16 = 10_000;
 
 /// Run one pre-posted ping/pong point with tracing and metrics enabled.
 /// Deterministic: equal inputs give byte-equal exports. `parallelism`
-/// selects the engine exactly as [`ClusterConfig::parallelism`] does
-/// (0 = hub engine; `n >= 1` = sharded engine on `n` threads, with
-/// byte-identical exports for every such `n`).
+/// is the engine thread count exactly as [`ClusterConfig::parallelism`]
+/// takes it (0 and 1 both mean one), with byte-identical exports for
+/// every count.
 pub fn traced_preposted(
     nic: NicConfig,
     p: PrepostedPoint,

@@ -25,19 +25,21 @@
 //! ```
 //!
 //! Failures replace the last two lines with
-//! `{"event":"error","message":"..."}`. `status` answers with one
-//! `{"event":"status",...}` line carrying the run counter, cache size,
-//! and a [`Metrics::snapshot_json`] of server telemetry.
+//! `{"event":"error","message":"..."}`. A request line longer than
+//! [`MAX_REQUEST_LINE`] bytes gets that error event straight away; the
+//! server then discards the rest of the line (up to 16 × the cap) and
+//! closes the connection, and the daemon keeps serving. A client that
+//! sends more than that may see a reset instead of the event. `status`
+//! answers with one `{"event":"status",...}` line carrying the run
+//! counter, cache size, and a [`Metrics::snapshot_json`] of server
+//! telemetry.
 //!
 //! # Memoization contract
 //!
 //! The cache maps `RunSpec::cache_key(code_version)` to the *serialized
 //! payload line*, so a hit is byte-identical to the miss that populated
-//! it. The key carries an engine discriminant (`RunSpec::engine`: the
-//! `threads == 0` hub engine and the sharded engine are each
-//! deterministic but not bit-identical to one another) yet not the
-//! worker counts — within one engine the determinism contract (same
-//! config + seed → same bytes at any parallelism) makes
+//! it. The key leaves out the worker counts: the determinism contract
+//! (same config + seed → same bytes at any parallelism) makes
 //! `threads`/`sweep_threads` safe to share. Benches whose rows embed
 //! wall-clock timings (scaling, collectives — see
 //! [`BenchSpec::cacheable`](crate::spec::BenchSpec::cacheable)) are
@@ -54,12 +56,23 @@ use crate::spec::{RunResult, RunSpec};
 use mpiq_dessim::metrics::Metrics;
 use mpiq_dessim::Time;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Longest request line the server reads, in bytes (newline excluded).
+/// A longer line is refused with an error event and its connection
+/// closed, so no client can make a worker buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// How much of an oversize request line the server reads and discards
+/// after refusing it. Closing a socket with unread input resets the
+/// connection, which would cost a client still inside its write the
+/// error event.
+const OVERSIZE_DRAIN: usize = 16 * MAX_REQUEST_LINE;
 
 /// Default listen address; override with `simd --addr`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
@@ -247,22 +260,43 @@ fn send_error(stream: &mut TcpStream, message: &str) {
     );
 }
 
+/// Read and drop input up to the end of the current line, end of
+/// stream, an error, or `budget` bytes, whichever comes first.
+fn discard_line(stream: &TcpStream, budget: usize) {
+    let mut rest = BufReader::new(stream.take(budget as u64));
+    while let Ok(chunk) = rest.fill_buf() {
+        let (len, newline) = (chunk.len(), chunk.contains(&b'\n'));
+        rest.consume(len);
+        if len == 0 || newline {
+            return;
+        }
+    }
+}
+
 fn handle(state: &State, cfg: &ServiceConfig, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     // A client that stops reading must not park a worker forever on a
     // blocking write while its key is still in flight; a timed-out
     // write fails `send_line`, which drops the stream.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
+    let Ok(reader) = stream.try_clone() else {
+        return;
+    };
+    // Read one byte past the cap, so a line of exactly the cap (plus its
+    // newline) still fits and anything longer is seen to be longer.
+    let mut bytes = Vec::new();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if BufReader::new(reader.take(limit)).read_until(b'\n', &mut bytes).is_err() {
         return;
     }
+    if bytes.strip_suffix(b"\n").unwrap_or(&bytes).len() > MAX_REQUEST_LINE {
+        lock(&state.metrics).add("service.rejected.oversize_line", 1);
+        send_error(&mut stream, &format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+        return discard_line(&stream, OVERSIZE_DRAIN);
+    }
+    let Ok(line) = String::from_utf8(bytes) else {
+        return send_error(&mut stream, "bad request: not UTF-8");
+    };
     let doc = match jsonlint::parse(line.trim()) {
         Ok(doc) => doc,
         Err(e) => return send_error(&mut stream, &format!("bad request: {e}")),

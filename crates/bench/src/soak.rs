@@ -99,8 +99,8 @@ pub struct SoakConfig {
     pub faults: Option<FaultConfig>,
     /// Virtual-time watchdog deadline.
     pub deadline: Time,
-    /// Execution engine: 0 = hub fabric on the calling thread; n >= 1 =
-    /// sharded engine on n worker threads (identical results for any n).
+    /// Engine worker threads; 0 and 1 both mean one (identical results
+    /// for any count).
     pub parallelism: usize,
     /// Network parameters (wire latency, bandwidth, per-pair profile).
     pub net: NetConfig,

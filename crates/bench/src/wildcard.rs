@@ -41,9 +41,9 @@ pub struct WildcardStudy {
     pub purges: u64,
 }
 
-/// Run `iters` iterations with `senders` possible sources. `parallelism`
-/// selects the execution engine (0 = hub, `n >= 1` = sharded on `n`
-/// threads); the result is identical either way.
+/// Run `iters` iterations with `senders` possible sources on
+/// `parallelism` engine threads (0 and 1 both mean one); the result is
+/// identical at any count.
 pub fn wildcard_workaround(
     nic: NicConfig,
     strategy: RecvStrategy,

@@ -1,8 +1,8 @@
 //! Golden-file test for the Chrome trace exporter.
 //!
-//! A tiny two-component simulation emits one of every structured trace
-//! event at fixed times; the exported JSON must match the checked-in
-//! golden byte for byte. Regenerate with:
+//! A tiny two-component, one-shard simulation emits one of every
+//! structured trace event at fixed times; the exported JSON must match
+//! the checked-in golden byte for byte. Regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p mpiq-bench --test chrome_trace_golden
@@ -19,12 +19,19 @@ use mpiq_dessim::prelude::*;
 use mpiq_dessim::trace::{
     AlpuCmdKind, DmaDir, QueueKind, QueueOpKind, SearchSource, TraceEvent,
 };
-use mpiq_dessim::chrome_trace;
+use mpiq_dessim::{chrome_trace, ShardId, ShardedSim};
 
-struct Scripted;
+/// Emits one of every trace event; `nic0` also publishes two metrics.
+struct Scripted {
+    publish_metrics: bool,
+}
 
 impl Component for Scripted {
     fn on_event(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
+        if self.publish_metrics {
+            ctx.metrics().add("nic0.work_items", 9);
+            ctx.metrics().record("nic0.match.posted.linear", Time::from_ns(105));
+        }
         ctx.trace(TraceEvent::QueueOp {
             queue: QueueKind::Posted,
             op: QueueOpKind::Push,
@@ -75,16 +82,14 @@ fn golden_path() -> std::path::PathBuf {
 
 #[test]
 fn scripted_two_component_trace_matches_golden() {
-    let mut sim = Simulation::new(7);
-    let a = sim.add_component("nic0", Scripted);
-    let b = sim.add_component("nic1", Scripted);
+    let mut sim = ShardedSim::new(7, 1);
+    let a = sim.add_component(ShardId(0), "nic0", Scripted { publish_metrics: true });
+    let b = sim.add_component(ShardId(0), "nic1", Scripted { publish_metrics: false });
     sim.enable_tracing(64);
     sim.enable_metrics();
     sim.post(a, InPort(0), Payload::empty(), Time::from_ns(100));
     sim.post(b, InPort(0), Payload::empty(), Time::from_us(2));
     sim.run();
-    sim.metrics_mut().add("nic0.work_items", 9);
-    sim.metrics_mut().record("nic0.match.posted.linear", Time::from_ns(105));
     let json = chrome_trace(&sim);
 
     jsonlint::validate(&json).expect("exporter must emit valid JSON");

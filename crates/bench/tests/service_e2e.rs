@@ -1,7 +1,7 @@
 //! End-to-end exercise of the experiment server over a real TCP socket:
 //! a cold fig5 sweep, a byte-identical warm hit that must be at least an
 //! order of magnitude faster, progress streaming, a lint pass over every
-//! line the server says, and a hostile request that must not kill it.
+//! line the server says, and hostile requests that must not kill it.
 
 use mpiq_bench::jsonlint::{self, Json};
 use mpiq_bench::service::{self, Server, ServiceConfig};
@@ -177,6 +177,50 @@ fn deeply_nested_request_is_refused_and_the_daemon_survives() {
     let status_line = service::status(&addr).expect("daemon still answers status");
     let status = jsonlint::parse(&status_line).expect("status is valid JSON");
     assert_eq!(status.get("runs_executed").and_then(Json::as_u64), Some(0));
+
+    service::shutdown(&addr).expect("shutdown");
+    handle.join().expect("server thread exits");
+}
+
+/// Regression: the server read a request line without bound, so one
+/// client could make a worker buffer as much as it cared to send. A line
+/// past `MAX_REQUEST_LINE` must come back as an error event, and the
+/// daemon must still answer the next request.
+#[test]
+fn oversize_request_line_is_refused_and_the_daemon_survives() {
+    let (addr, handle) = start_server();
+
+    // One byte over the cap, twice the cap, and a line longer than the
+    // loopback socket buffers, so the server refuses it while the client
+    // is still writing (closing on unread input would reset the client).
+    let sizes = [
+        service::MAX_REQUEST_LINE + 1,
+        2 * service::MAX_REQUEST_LINE,
+        8 * service::MAX_REQUEST_LINE,
+    ];
+    for size in sizes {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let line = "x".repeat(size);
+        stream.write_all(line.as_bytes()).expect("send oversize line");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut reply = String::new();
+        BufReader::new(stream)
+            .read_line(&mut reply)
+            .expect("read reply");
+        let doc = jsonlint::parse(reply.trim()).expect("error reply is valid JSON");
+        assert_eq!(doc.get("event").and_then(Json::as_str), Some("error"), "{reply}");
+        let message = doc.get("message").and_then(Json::as_str).unwrap_or_default();
+        assert!(message.contains("exceeds"), "{size}: {message}");
+    }
+
+    let status_line = service::status(&addr).expect("daemon still answers status");
+    let status = jsonlint::parse(&status_line).expect("status is valid JSON");
+    assert_eq!(status.get("runs_executed").and_then(Json::as_u64), Some(0));
+    let counters = status.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+    assert_eq!(
+        counters.get("service.rejected.oversize_line").and_then(Json::as_u64),
+        Some(sizes.len() as u64)
+    );
 
     service::shutdown(&addr).expect("shutdown");
     handle.join().expect("server thread exits");

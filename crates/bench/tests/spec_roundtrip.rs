@@ -1,8 +1,7 @@
 //! The RunSpec contract: every bin's flag table parses into a spec that
 //! survives the wire (parse → serialize → parse identity), and the cache
-//! key honors the determinism contract — seed, code version, and the
-//! engine (hub vs sharded) change it; worker counts within one engine
-//! do not.
+//! key honors the determinism contract — seed, code version, faults and
+//! bench parameters change it; worker counts do not.
 
 use mpiq_bench::cli::Cli;
 use mpiq_bench::spec::{flags, RunSpec};
@@ -77,9 +76,9 @@ fn cache_key_misses_on_seed_code_version_and_params() {
 
 #[test]
 fn cache_key_ignores_worker_counts_within_an_engine() {
-    // The determinism contract: within one engine, results are
-    // byte-identical at any worker/sweep parallelism, so the counts
-    // must not fragment the cache.
+    // The determinism contract: results are byte-identical at any
+    // worker/sweep parallelism on the one engine, so the counts must not
+    // fragment the cache.
     let one = spec_from_args("fig6", &["--max-queue", "100", "--threads", "1"]);
     let eight =
         spec_from_args("fig6", &["--max-queue", "100", "--threads", "8", "--sweep-threads", "4"]);
@@ -92,25 +91,16 @@ fn cache_key_ignores_worker_counts_within_an_engine() {
 }
 
 #[test]
-fn cache_key_splits_the_hub_engine_from_the_sharded_engine() {
-    // threads == 0 runs the legacy hub engine, whose output is
-    // deterministic but not bit-identical to the sharded engine's
-    // (DESIGN.md "Determinism") — the two must never share cached bytes.
-    let hub = spec_from_args("fig6", &["--max-queue", "100"]);
-    let sharded = spec_from_args("fig6", &["--max-queue", "100", "--threads", "1"]);
-    assert_eq!(hub.engine(), "hub");
-    assert_eq!(sharded.engine(), "sharded");
-    assert_ne!(
-        hub.cache_key("v1"),
-        sharded.cache_key("v1"),
-        "hub and sharded results must occupy distinct cache slots"
-    );
-    // Collectives never touches the hub engine (threads == 0 maps to 4
-    // sharded workers), so its discriminant — and key — is pinned.
-    let coll0 = spec_from_args("collectives", &["--ranks", "8"]);
-    let coll1 = spec_from_args("collectives", &["--ranks", "8", "--threads", "1"]);
-    assert_eq!(coll0.engine(), "sharded");
-    assert_eq!(coll0.cache_key("v1"), coll1.cache_key("v1"));
+fn threads_0_and_1_share_one_cache_slot() {
+    // `--threads 0` (the default) and `--threads 1` both mean one engine
+    // thread, so they must hit the same cached bytes — for the benches
+    // that run one cluster at a time and for collectives alike.
+    for (bench, args) in [("fig6", ["--max-queue", "100"]), ("collectives", ["--ranks", "8"])] {
+        let zero = spec_from_args(bench, &args);
+        let one = spec_from_args(bench, &[args[0], args[1], "--threads", "1"]);
+        assert_eq!((zero.threads, one.threads), (0, 1));
+        assert_eq!(zero.cache_key("v1"), one.cache_key("v1"), "{bench}: 0 and 1 split the cache");
+    }
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! not pushed on every event, so these goldens guard the rendering
 //! contract: a NIC's keys appear only once it has published (run an
 //! event), gauges read their final values, and the queue-length
-//! high-water marks survive a node restart. Each soak scenario is pinned
-//! on both engines, plus chaos with a restart, a restart that wipes a
-//! deep posted queue, a node that dies before its first event, and one
-//! Fig. 5 ALPU point. Regenerate with:
+//! high-water marks survive a node restart. Each soak scenario is pinned,
+//! plus chaos with a restart, a restart that wipes a deep posted queue, a
+//! node that dies before its first event, and one Fig. 5 ALPU point.
+//! Regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p mpiq-bench --test stats_golden
@@ -37,16 +37,11 @@ fn soak_stats(cfg: &SoakConfig) -> String {
 }
 
 #[test]
-fn soak_scenarios_match_golden_on_both_engines() {
+fn soak_scenarios_match_golden() {
     for scenario in Scenario::ALL {
-        for parallelism in [0, 1] {
-            let mut cfg = SoakConfig::new(scenario, 1);
-            cfg.parallelism = parallelism;
-            check(
-                &format!("stats_{}_t{parallelism}", scenario.name()),
-                &soak_stats(&cfg),
-            );
-        }
+        let mut cfg = SoakConfig::new(scenario, 1);
+        cfg.parallelism = 1;
+        check(&format!("stats_{}_t1", scenario.name()), &soak_stats(&cfg));
     }
 }
 

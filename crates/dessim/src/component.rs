@@ -172,7 +172,7 @@ impl<'a> Ctx<'a> {
 
     /// The global metrics registry (histograms + counters). Writes are
     /// no-ops unless metrics were enabled via
-    /// [`Simulation::enable_metrics`](crate::Simulation::enable_metrics).
+    /// [`ShardedSim::enable_metrics`](crate::ShardedSim::enable_metrics).
     pub fn metrics(&mut self) -> &mut Metrics {
         self.metrics
     }

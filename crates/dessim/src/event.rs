@@ -60,6 +60,13 @@ impl Payload {
         ))))
     }
 
+    /// Wrap an already boxed value without moving it out of its box —
+    /// the allocation-free way to forward what [`Payload::downcast`]
+    /// returned.
+    pub fn from_box<T: Send + 'static>(b: Box<T>) -> Payload {
+        Payload(Repr::Boxed(b))
+    }
+
     /// An empty payload for pure "wake up" events. Allocation-free.
     pub fn empty() -> Payload {
         Payload(Repr::Empty)
@@ -141,6 +148,16 @@ mod tests {
         let p = Payload::new("hello");
         let p = p.downcast::<u32>().unwrap_err();
         assert_eq!(*p.downcast::<&str>().unwrap(), "hello");
+    }
+
+    #[test]
+    fn boxed_payload_forwards_without_copying() {
+        let b = Payload::new(vec![1u8, 2, 3]).downcast::<Vec<u8>>().unwrap();
+        let at = &*b as *const Vec<u8>;
+        let back = Payload::from_box(b).downcast::<Vec<u8>>().unwrap();
+        assert_eq!(&*back as *const Vec<u8>, at, "the box was reallocated");
+        assert_eq!(*back, vec![1, 2, 3]);
+        assert!(Payload::from_box(Box::new(7u64)).is::<u64>());
     }
 
     #[test]

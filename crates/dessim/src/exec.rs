@@ -1,16 +1,14 @@
-//! Execution cores for [`ShardedSim`]: the strategy that carries shards
-//! through conservative lookahead windows.
+//! The windowed executor that carries a [`ShardedSim`] to a horizon.
 //!
-//! Both cores run the *same* windowed algorithm — plan a window bound
-//! per shard (from the per-edge safe-time table under
-//! [`WindowPolicy::PerEdge`], or one shared cap under
-//! [`WindowPolicy::Global`]), execute every shard's in-window events,
-//! swap cross-shard trays at a barrier, repeat. [`Sequential`] executes
-//! all shards on the calling thread; [`Partitioned`] stripes them
-//! across a scoped worker pool (`scoped_pool`). Because the window
-//! schedule, per-shard event order, and barrier exchange order are all
-//! independent of which OS thread carries a shard, the two cores — and
-//! any worker count — produce bit-identical results.
+//! Every run follows one algorithm: plan a window bound per shard (from
+//! the per-edge safe-time table under [`WindowPolicy::PerEdge`], or one
+//! shared cap under [`WindowPolicy::Global`]), execute every shard's
+//! in-window events, swap cross-shard trays at a barrier, repeat. The
+//! shards are striped across a scoped worker pool (`scoped_pool`); with
+//! one thread the driver carries every shard itself and the pool spawns
+//! nothing. Because the window schedule, per-shard event order, and
+//! barrier exchange order are all independent of which OS thread carries
+//! a shard, any worker count produces bit-identical results.
 //!
 //! Shards live inside `Mutex` cells during a run. The locks are never
 //! contended (each shard is touched by exactly one worker inside a
@@ -19,10 +17,10 @@
 //! per-shard window bounds are broadcast through a table of relaxed
 //! atomics written only by the driver between barriers.
 //!
-//! Caveat: a panic inside a component handler under [`Partitioned`]
-//! leaves other workers parked at the window barrier; lookahead
-//! violations are therefore asserted on the driver thread (at the
-//! barrier tray swap) so they surface as ordinary panics in both cores.
+//! Caveat: a panic inside a component handler on a pooled worker leaves
+//! other workers parked at the window barrier; lookahead violations are
+//! therefore asserted on the driver thread (at the barrier tray swap) so
+//! they surface as ordinary panics at every thread count.
 
 use crate::shard::{exchange_trays, Shard, ShardedSim};
 use crate::time::Time;
@@ -30,52 +28,18 @@ use crate::window::{SafeTimeTable, WindowPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// A strategy for running a [`ShardedSim`] to a horizon.
-pub trait ExecCore {
-    /// Execute every event with `time <= horizon` (or until a component
-    /// requests a stop, honored at the next window barrier).
-    fn run(&self, sim: &mut ShardedSim, horizon: Time);
-}
-
-/// Single-threaded core: the windowed algorithm with all shards on the
-/// calling thread. This is what `threads = 1` selects, and the baseline
-/// that `tests/parallel_determinism.rs` compares [`Partitioned`] against.
-pub struct Sequential;
-
-impl ExecCore for Sequential {
-    fn run(&self, sim: &mut ShardedSim, horizon: Time) {
-        run_windows(sim, horizon, 1);
-    }
-}
-
-/// Multi-threaded core: shards striped over `threads` workers (the
-/// driver doubles as worker zero). Thread count is clamped to the shard
+/// Execute every event with `time <= horizon` (or until a component
+/// requests a stop, honored at the next window barrier) on `threads`
+/// workers, the driver included. The count is clamped to the shard
 /// count — extra threads would own empty stripes.
-pub struct Partitioned {
-    /// Total worker threads, including the driver. Values `<= 1` degrade
-    /// to [`Sequential`] behavior.
-    pub threads: usize,
-}
-
-impl ExecCore for Partitioned {
-    fn run(&self, sim: &mut ShardedSim, horizon: Time) {
-        run_windows(sim, horizon, self.threads.max(1));
-    }
-}
-
-/// The shared windowed loop. `threads` includes the driver.
-fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
+pub(crate) fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
     let nshards = sim.shards.len();
-    if nshards == 0 {
-        return;
-    }
     let lookahead = sim.lookahead();
     let mut planner = match sim.window_policy() {
         WindowPolicy::Global => None,
         WindowPolicy::PerEdge => Some(SafeTimeTable::new(nshards, sim.topo.edges())),
     };
-    let stride = threads.min(nshards).max(1);
-    let extra = stride - 1;
+    let stride = threads.clamp(1, nshards);
     let cells: Vec<Mutex<Shard>> = sim.shards.drain(..).map(Mutex::new).collect();
     let topo = &sim.topo;
     // Per-shard window bounds for the round in flight. Written by the
@@ -83,36 +47,34 @@ fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
     // after it; the barrier orders the accesses, so Relaxed suffices.
     let ends: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
 
+    let end_of = |j: usize| Time(ends[j].load(Ordering::Relaxed));
     // One stripe of shards per worker: worker `w` owns shards
     // `w, w+stride, w+2*stride, ...`. The assignment is fixed for the
     // whole run, so a shard's events always execute on the same worker.
     let run_stripe = |w: usize| {
         for j in (w..cells.len()).step_by(stride) {
-            let end = Time(ends[j].load(Ordering::Relaxed));
-            cells[j]
-                .lock()
-                .expect("a worker panicked while running this shard")
-                .run_window(topo, end);
+            lock(&cells[j]).run_window(topo, end_of(j));
         }
     };
+    // A lone driver is every stripe: it keeps every shard locked for the
+    // whole run instead of unlocking and relocking them each window
+    // (that relocking cost 7% of a one-thread 16-sender incast run).
+    let solo = stride == 1;
 
     scoped_pool::run(
-        extra,
+        stride - 1,
         |w, _round| run_stripe(w),
         |pool| {
             let mut round = 0u64;
             let mut nexts = vec![0u64; nshards];
+            // Between windows only the driver is awake, so it holds every
+            // shard from the tray swap through planning the next window.
+            let mut guards: Vec<MutexGuard<'_, Shard>> = cells.iter().map(lock).collect();
             loop {
-                // Between windows only the driver is awake; these locks
-                // are uncontended bookkeeping.
-                let stopped = {
-                    let guards = lock_all(&cells);
-                    for (slot, g) in nexts.iter_mut().zip(guards.iter()) {
-                        *slot = g.next_time().map_or(u64::MAX, |t| t.0);
-                    }
-                    guards.iter().any(|g| g.stop)
-                };
-                if stopped {
+                for (slot, g) in nexts.iter_mut().zip(&guards) {
+                    *slot = g.next_time().map_or(u64::MAX, |t| t.0);
+                }
+                if guards.iter().any(|g| g.stop) {
                     break;
                 }
                 let min_next = nexts.iter().copied().min().unwrap_or(u64::MAX);
@@ -142,11 +104,19 @@ fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
                 // meet back at the pool's completion barrier. The plan
                 // value is only a round tag (kept off the shutdown
                 // sentinel); the real bounds travel through `ends`.
-                pool.step(round, || run_stripe(0));
+                if solo {
+                    pool.step(round, || {
+                        for (j, shard) in guards.iter_mut().enumerate() {
+                            shard.run_window(topo, end_of(j));
+                        }
+                    });
+                } else {
+                    guards.clear();
+                    pool.step(round, || run_stripe(0));
+                    guards.extend(cells.iter().map(lock));
+                }
                 round = (round + 1) % (u64::MAX - 1);
-                let mut guards = lock_all(&cells);
-                let mut refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
-                exchange_trays(&mut refs);
+                exchange_trays(&mut guards);
             }
         },
     );
@@ -157,9 +127,6 @@ fn run_windows(sim: &mut ShardedSim, horizon: Time, threads: usize) {
         .collect();
 }
 
-fn lock_all(cells: &[Mutex<Shard>]) -> Vec<MutexGuard<'_, Shard>> {
-    cells
-        .iter()
-        .map(|c| c.lock().expect("a worker panicked while running this shard"))
-        .collect()
+fn lock(cell: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    cell.lock().expect("a worker panicked while running this shard")
 }

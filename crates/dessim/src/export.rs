@@ -20,7 +20,6 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::metrics::Metrics;
-use crate::scheduler::Simulation;
 use crate::shard::ShardedSim;
 use crate::trace::{TraceEvent, TraceRing};
 
@@ -118,20 +117,12 @@ fn describe(what: &TraceEvent) -> (String, String) {
     }
 }
 
-/// Render the simulation's trace ring and metrics registry as a Chrome
-/// trace JSON document. Works on any simulation; with tracing disabled
-/// the `traceEvents` array holds only the thread-name metadata.
-pub fn chrome_trace(sim: &Simulation) -> String {
-    let names: Vec<String> = (0..sim.component_count())
-        .map(|i| sim.name_of(crate::component::ComponentId(i as u32)).to_string())
-        .collect();
-    chrome_trace_parts(&names, sim.trace(), sim.metrics())
-}
-
-/// [`chrome_trace`] for a sharded simulation: per-shard rings are merged
-/// into canonical order first (see [`TraceRing::merged`]), so the output
-/// is byte-identical for any worker-thread count.
-pub fn chrome_trace_sharded(sim: &ShardedSim) -> String {
+/// Render a simulation's trace and metrics as a Chrome trace JSON
+/// document. Per-shard rings are merged into canonical order first (see
+/// [`TraceRing::merged`]), so the output is byte-identical for any
+/// worker-thread count. With tracing disabled the `traceEvents` array
+/// holds only the thread-name metadata.
+pub fn chrome_trace(sim: &ShardedSim) -> String {
     let names: Vec<String> = (0..sim.component_count())
         .map(|i| sim.name_of(crate::component::ComponentId(i as u32)).to_string())
         .collect();
@@ -217,6 +208,7 @@ mod tests {
     use super::*;
     use crate::component::{Component, Ctx};
     use crate::event::{Event, InPort, Payload};
+    use crate::shard::ShardId;
     use crate::time::Time;
     use crate::trace::{DmaDir, QueueKind, QueueOpKind};
 
@@ -253,8 +245,8 @@ mod tests {
 
     #[test]
     fn exporter_emits_counter_duration_and_instant_events() {
-        let mut sim = Simulation::new(0);
-        let c = sim.add_component("nic0", Emitter);
+        let mut sim = ShardedSim::new(0, 1);
+        let c = sim.add_component(ShardId(0), "nic0", Emitter);
         sim.enable_tracing(16);
         sim.post(c, InPort(0), Payload::empty(), Time::from_ns(3));
         sim.run();
@@ -279,20 +271,19 @@ mod tests {
 
     #[test]
     fn exporter_summarizes_metrics_in_other_data() {
-        let mut sim = Simulation::new(0);
-        sim.add_component("nic0", Emitter);
-        sim.enable_metrics();
-        sim.metrics_mut().add("nic0.ops", 5);
-        sim.metrics_mut().record("nic0.lat", Time::from_ns(4));
-        let json = chrome_trace(&sim);
+        let mut metrics = Metrics::disabled();
+        metrics.enable();
+        metrics.add("nic0.ops", 5);
+        metrics.record("nic0.lat", Time::from_ns(4));
+        let json = chrome_trace_parts(&["nic0".to_string()], &TraceRing::disabled(), &metrics);
         assert!(json.contains("\"nic0.ops\":\"5\""), "{json}");
         assert!(json.contains("\"nic0.lat\":\"count=1"), "{json}");
     }
 
     #[test]
     fn exporter_without_tracing_is_still_valid_shell() {
-        let mut sim = Simulation::new(0);
-        sim.add_component("a", Emitter);
+        let mut sim = ShardedSim::new(0, 1);
+        sim.add_component(ShardId(0), "a", Emitter);
         let json = chrome_trace(&sim);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"displayTimeUnit\":\"ns\""));

@@ -25,7 +25,6 @@
 use crate::rng::SimRng;
 use crate::time::Time;
 use std::fmt;
-use std::sync::Arc;
 
 /// Probabilities and seed for a fault campaign. `FaultConfig::none()`
 /// (the `Default`) disables everything; injection sites must be zero-cost
@@ -263,8 +262,8 @@ impl fmt::Display for FaultEvent {
 
 /// A deterministic timeline of component-level faults, shared read-only by
 /// every component (each holds an `Arc`). All queries are pure functions of
-/// `(schedule, time)` so the same schedule gives byte-identical behavior on
-/// the hub engine and on the sharded engine at any thread count.
+/// `(schedule, time)` so the same schedule gives byte-identical behavior at
+/// any thread count.
 ///
 /// Build one programmatically with [`FaultSchedule::push`], generate a flap
 /// storm from a seed with [`FaultSchedule::generate`], or parse the text
@@ -305,11 +304,6 @@ impl FaultSchedule {
     /// The sorted timeline.
     pub fn events(&self) -> &[(Time, FaultEvent)] {
         &self.events
-    }
-
-    /// Wrap in the shared handle components hold.
-    pub fn arc(self) -> Arc<FaultSchedule> {
-        Arc::new(self)
     }
 
     /// Generate a reproducible link-flap storm: flap arrivals spaced
@@ -517,7 +511,7 @@ impl FaultSchedule {
                 }
                 FaultEvent::LinkFlap { a: fa, b: fb, down_for }
                     if ((*fa == a && *fb == b) || (*fa == b && *fb == a))
-                        && t < at + *down_for =>
+                        && t.0 < at.0.saturating_add(down_for.0) =>
                 {
                     return true;
                 }
@@ -622,22 +616,23 @@ impl fmt::Display for FaultSchedule {
 }
 
 /// Parse a time literal like `200us` (suffixes: `ps`, `ns`, `us`, `ms`).
+/// A literal past the 64-bit picosecond range is an error, not a wrap.
 fn parse_schedule_time(s: &str) -> Result<Time, String> {
-    let (digits, make): (&str, fn(u64) -> Time) = if let Some(d) = s.strip_suffix("ms") {
-        (d, Time::from_ms)
+    let (digits, ps_per_unit) = if let Some(d) = s.strip_suffix("ms") {
+        (d, 1_000_000_000)
     } else if let Some(d) = s.strip_suffix("us") {
-        (d, Time::from_us)
+        (d, 1_000_000)
     } else if let Some(d) = s.strip_suffix("ns") {
-        (d, Time::from_ns)
+        (d, 1_000)
     } else if let Some(d) = s.strip_suffix("ps") {
-        (d, Time::from_ps)
+        (d, 1)
     } else {
         return Err(format!("time `{s}` needs a ps|ns|us|ms suffix"));
     };
-    digits
-        .parse()
-        .map(make)
-        .map_err(|_| format!("bad time `{s}`"))
+    let n: u64 = digits.parse().map_err(|_| format!("bad time `{s}`"))?;
+    n.checked_mul(ps_per_unit)
+        .map(Time::from_ps)
+        .ok_or_else(|| format!("time `{s}` overflows 64-bit picoseconds"))
 }
 
 /// Parse the [`FaultSchedule`] spec grammar: `;`-separated events, each
@@ -675,9 +670,11 @@ impl std::str::FromStr for FaultSchedule {
                     if let Some(mttr) = args.get("mttr") {
                         // Sugar: a crash with a mean-time-to-repair is a
                         // crash plus an explicit restart `mttr` later.
-                        sched.push(at + parse_schedule_time(mttr)?, FaultEvent::NodeRestart {
-                            host,
-                        });
+                        let back = at
+                            .0
+                            .checked_add(parse_schedule_time(mttr)?.0)
+                            .ok_or_else(|| format!("event `{part}`: restart time overflows"))?;
+                        sched.push(Time(back), FaultEvent::NodeRestart { host });
                     }
                     FaultEvent::NodeCrash { host }
                 }
@@ -688,11 +685,11 @@ impl std::str::FromStr for FaultSchedule {
                     let (a, b) = edge
                         .split_once('-')
                         .ok_or_else(|| format!("edge `{edge}` is not a-b"))?;
-                    FaultEvent::LinkFlap {
-                        a: node(a)?,
-                        b: node(b)?,
-                        down_for: parse_schedule_time(want("down")?)?,
+                    let down_for = parse_schedule_time(want("down")?)?;
+                    if at.0.checked_add(down_for.0).is_none() {
+                        return Err(format!("event `{part}`: link-up time overflows"));
                     }
+                    FaultEvent::LinkFlap { a: node(a)?, b: node(b)?, down_for }
                 }
                 "partition" => {
                     let groups = want("groups")?

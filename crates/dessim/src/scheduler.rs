@@ -1,145 +1,41 @@
-//! The event scheduler / simulation executive.
+//! The single-threaded simulation driver.
 
-use crate::calendar::CalendarQueue;
-use crate::component::{Component, ComponentId, Ctx, Emission};
-use crate::event::{Event, InPort, OutPort, Payload};
-use crate::metrics::Metrics;
+use crate::component::{Component, ComponentId};
+use crate::event::{InPort, OutPort, Payload};
 use crate::rng::SimRng;
+use crate::shard::{Shard, Topology};
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::trace::TraceRing;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// One scheduled event in the heap. Ordered by (time, seq): the sequence
-/// number breaks ties deterministically in insertion order. Shared with
-/// the partitioned executor ([`crate::shard`]), which keeps one such heap
-/// per shard.
-pub(crate) struct Scheduled {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) dst: ComponentId,
-    pub(crate) port: InPort,
-    pub(crate) payload: Payload,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// A wired link: (src component, out port) -> (dst component, in port, latency).
-#[derive(Clone, Copy)]
-pub(crate) struct Link {
-    pub(crate) dst: ComponentId,
-    pub(crate) port: InPort,
-    pub(crate) latency: Time,
-}
-
-/// The pending-event set: a binary heap by default, or a calendar queue
-/// (see [`crate::calendar`]) when selected via
-/// [`Simulation::use_calendar_queue`].
-enum Pending {
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-    Calendar(CalendarQueue<(ComponentId, InPort, Payload)>),
-}
-
-impl Pending {
-    fn push(&mut self, ev: Scheduled) {
-        match self {
-            Pending::Heap(h) => h.push(Reverse(ev)),
-            Pending::Calendar(c) => c.push(ev.time, ev.seq, (ev.dst, ev.port, ev.payload)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled> {
-        match self {
-            Pending::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            Pending::Calendar(c) => c.pop().map(|(time, seq, (dst, port, payload))| Scheduled {
-                time,
-                seq,
-                dst,
-                port,
-                payload,
-            }),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            Pending::Heap(h) => h.peek().map(|Reverse(ev)| ev.time),
-            // The calendar peek advances its internal scan cursor, which
-            // the following pop then reuses — peek+pop scans once.
-            Pending::Calendar(c) => c.peek_time(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Pending::Heap(h) => h.is_empty(),
-            Pending::Calendar(c) => c.is_empty(),
-        }
-    }
-}
-
-/// The simulation executive: owns components, wiring, the event heap,
-/// virtual time, the RNG, and the statistics registry.
+/// A one-shard simulation run on the calling thread: owns components,
+/// wiring, the event heap, virtual time, the RNG, and the statistics
+/// registry. Unit tests and kernel-cost probes drive it directly;
+/// clusters run on [`ShardedSim`](crate::ShardedSim). It executes events
+/// with the same shard core, but honors a component's stop request
+/// right after that event instead of at the next window barrier.
 pub struct Simulation {
-    components: Vec<Box<dyn Component>>,
-    names: Vec<String>,
-    /// Outgoing links, indexed `[component][out_port]` — a flat lookup on
-    /// the per-emission hot path (out-port numbers are small and dense).
-    wiring: Vec<Vec<Option<Link>>>,
-    heap: Pending,
-    now: Time,
-    seq: u64,
-    rng: SimRng,
-    stats: Stats,
-    trace: TraceRing,
-    metrics: Metrics,
+    topo: Topology,
+    shard: Shard,
     started: bool,
-    events_processed: u64,
 }
 
 impl Simulation {
     /// Create an empty simulation with a deterministic RNG seed.
     pub fn new(seed: u64) -> Simulation {
         Simulation {
-            components: Vec::new(),
-            names: Vec::new(),
-            wiring: Vec::new(),
-            heap: Pending::Heap(BinaryHeap::new()),
-            now: Time::ZERO,
-            seq: 0,
-            rng: SimRng::new(seed),
-            stats: Stats::new(),
-            trace: TraceRing::disabled(),
-            metrics: Metrics::disabled(),
+            topo: Topology::default(),
+            shard: Shard::new(0, SimRng::new(seed)),
             started: false,
-            events_processed: 0,
         }
     }
 
     /// Register a component; the returned id addresses it in wiring and
     /// direct sends.
-    pub fn add_component<C: Component>(&mut self, name: &str, c: C) -> ComponentId {
-        let id = ComponentId(self.components.len() as u32);
-        self.components.push(Box::new(c));
-        self.names.push(name.to_string());
-        self.wiring.push(Vec::new());
-        id
+    pub fn add_component<C: Component>(&mut self, name: impl Into<String>, c: C) -> ComponentId {
+        let local = self.shard.components.len() as u32;
+        self.shard.components.push(Box::new(c));
+        self.topo.add(0, local, name.into())
     }
 
     /// Wire `src.out_port` to `dst.in_port` with the given link latency.
@@ -152,156 +48,55 @@ impl Simulation {
         in_port: InPort,
         latency: Time,
     ) {
-        assert!(
-            (dst.0 as usize) < self.components.len(),
-            "connect: unknown destination component"
-        );
-        let ports = self
-            .wiring
-            .get_mut(src.0 as usize)
-            .expect("connect: unknown source component");
-        let slot = out_port.0 as usize;
-        if ports.len() <= slot {
-            ports.resize(slot + 1, None);
-        }
-        ports[slot] = Some(Link {
-            dst,
-            port: in_port,
-            latency,
-        });
-    }
-
-    /// Switch the pending-event set to a calendar queue (Brown 1988).
-    /// Only valid before any event is posted; same delivery order as the
-    /// default heap.
-    pub fn use_calendar_queue(&mut self) {
-        assert!(
-            self.heap.is_empty() && self.seq == 0,
-            "select the scheduler before posting events"
-        );
-        self.heap = Pending::Calendar(CalendarQueue::new());
+        self.topo.connect(src, out_port, dst, in_port, latency);
     }
 
     /// Schedule an event for delivery `delay` after the current time.
     pub fn post(&mut self, dst: ComponentId, port: InPort, payload: Payload, delay: Time) {
-        let time = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq,
-            dst,
-            port,
-            payload,
-        });
+        let time = self.shard.now + delay;
+        self.shard.push_local(time, dst, port, payload);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.now
+        self.shard.now
     }
 
     /// Number of events delivered so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.shard.events_processed
     }
 
     /// Immutable view of the statistics registry.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.shard.stats
     }
 
-    /// Mutable view of the statistics registry (e.g. for resetting between
-    /// measurement phases).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
-    /// Registered name of a component.
-    pub fn name_of(&self, id: ComponentId) -> &str {
-        &self.names[id.0 as usize]
-    }
-
-    /// Number of registered components (ids are `0..count`).
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Keep the last `capacity` [`Ctx::trace`] records for debugging.
+    /// Keep the last `capacity` [`Ctx::trace`](crate::Ctx::trace) records
+    /// for debugging.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.trace = TraceRing::with_capacity(capacity);
+        self.shard.trace = TraceRing::with_capacity(capacity);
     }
 
     /// The trace ring (render with
     /// [`TraceRing::render`](crate::trace::TraceRing::render)).
     pub fn trace(&self) -> &TraceRing {
-        &self.trace
+        &self.shard.trace
     }
 
     /// Render the retained trace with component names resolved. Takes
     /// `&mut self` because rendering consumes the dropped-records notice
     /// (see [`TraceRing::render`]).
     pub fn render_trace(&mut self) -> String {
-        let names = &self.names;
-        self.trace.render(|id| names[id.0 as usize].clone())
-    }
-
-    /// Turn on the metrics registry; [`Ctx::metrics`] writes are recorded
-    /// from here on. Off by default so unmetered runs stay byte-identical.
-    pub fn enable_metrics(&mut self) {
-        self.metrics.enable();
-    }
-
-    /// Immutable view of the metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable view of the metrics registry (e.g. for resetting between
-    /// measurement phases).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        let topo = &self.topo;
+        self.shard.trace.render(|id| topo.name(id).to_string())
     }
 
     /// Downcast a component to its concrete type, if it opted in via
     /// [`Component::as_any`]. For harness inspection between runs.
     pub fn component<C: Component>(&self, id: ComponentId) -> Option<&C> {
-        self.components[id.0 as usize].as_any()?.downcast_ref()
-    }
-
-    /// Mutable variant of [`Simulation::component`].
-    pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> Option<&mut C> {
-        self.components[id.0 as usize].as_any_mut()?.downcast_mut()
-    }
-
-    /// Is the pending-event set empty? A simulation that is idle *and*
-    /// has components reporting unfinished obligations
-    /// ([`Component::health`]) has quiesced into a deadlock: nothing
-    /// will ever run again.
-    pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Collect [`Component::health`] reports from every component that
-    /// provides one, in registration order, with names resolved.
-    pub fn health_reports(&self) -> Vec<(String, crate::watchdog::Health)> {
-        self.components
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.health().map(|h| (self.names[i].clone(), h)))
-            .collect()
-    }
-
-    /// Assemble a typed stall report from the current state (see
-    /// [`crate::watchdog`]). The caller decides the [`StallKind`] — it
-    /// knows whether the run quiesced or overran its deadline.
-    pub fn diagnose(&self, kind: crate::watchdog::StallKind) -> crate::watchdog::Diagnosis {
-        crate::watchdog::Diagnosis {
-            kind,
-            at: self.now,
-            events_processed: self.events_processed,
-            components: self.health_reports(),
-        }
+        let (_, local) = self.topo.owner(id);
+        self.shard.components[local as usize].as_any()?.downcast_ref()
     }
 
     /// Run until the heap is empty or a component requested a stop.
@@ -312,142 +107,27 @@ impl Simulation {
 
     /// Run events with `time <= horizon`; time advances to the last
     /// delivered event (not to the horizon itself if the heap runs dry).
+    /// Start hooks run once, before the first event; a stop they request
+    /// is ignored, and a stop requested by an event ends only this call.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
-        self.start_components();
-        let mut delivered = 0u64;
-        let mut stop = false;
-        while !stop {
-            // Both schedulers peek cheaply, so overshoot events past the
-            // horizon stay in place instead of being popped and re-pushed.
-            if let Some(t) = self.heap.peek_time() {
-                if t > horizon {
-                    break;
-                }
-            }
-            let Some(ev) = self.heap.pop() else {
-                break;
-            };
-            debug_assert!(ev.time <= horizon, "peek_time bounds the popped event");
-            debug_assert!(
-                ev.time >= self.now,
-                "time must be monotone: event for {:?} port {:?} at t={} < now={}",
-                ev.dst,
-                ev.port,
-                ev.time,
-                self.now
-            );
-            self.now = ev.time;
-            self.dispatch(ev, &mut stop);
-            delivered += 1;
-        }
-        self.events_processed += delivered;
-        delivered
-    }
-
-    /// Run exactly one event if one is pending. Returns `false` if idle.
-    pub fn step(&mut self) -> bool {
-        self.start_components();
-        let Some(ev) = self.heap.pop() else {
-            return false;
-        };
-        self.now = ev.time;
-        let mut stop = false;
-        self.dispatch(ev, &mut stop);
-        self.events_processed += 1;
-        true
-    }
-
-    fn start_components(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.components.len() {
-            let id = ComponentId(i as u32);
-            let mut stop = false;
-            let mut ctx = Ctx {
-                now: self.now,
-                me: id,
-                emissions: Vec::new(),
-                rng: &mut self.rng,
-                stats: &mut self.stats,
-                stop_requested: &mut stop,
-                trace: &mut self.trace,
-                metrics: &mut self.metrics,
-            };
-            self.components[i].on_start(&mut ctx);
-            let emissions = ctx.emissions;
-            self.commit(id, emissions);
-        }
-    }
-
-    fn dispatch(&mut self, ev: Scheduled, stop: &mut bool) {
-        let id = ev.dst;
-        let idx = id.0 as usize;
-        assert!(
-            idx < self.components.len(),
-            "event at t={} on port {:?} addressed to unknown component {:?} \
-             ({} registered)",
-            ev.time,
-            ev.port,
-            id,
-            self.components.len()
-        );
-        let mut ctx = Ctx {
-            now: self.now,
-            me: id,
-            emissions: Vec::new(),
-            rng: &mut self.rng,
-            stats: &mut self.stats,
-            stop_requested: stop,
-            trace: &mut self.trace,
-            metrics: &mut self.metrics,
-        };
-        let event = Event {
-            time: ev.time,
-            dst: id,
-            port: ev.port,
-            payload: ev.payload,
-        };
-        self.components[idx].on_event(event, &mut ctx);
-        let emissions = ctx.emissions;
-        self.commit(id, emissions);
-    }
-
-    fn commit(&mut self, src: ComponentId, emissions: Vec<Emission>) {
-        for e in emissions {
-            match e {
-                Emission::Output {
-                    port,
-                    payload,
-                    extra_delay,
-                } => {
-                    let link = self.wiring[src.0 as usize]
-                        .get(port.0 as usize)
-                        .copied()
-                        .flatten()
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "component `{}` emitted on unwired output port {:?}",
-                                self.names[src.0 as usize], port
-                            )
-                        });
-                    self.post(link.dst, link.port, payload, link.latency + extra_delay);
-                }
-                Emission::Direct {
-                    dst,
-                    port,
-                    payload,
-                    delay,
-                } => self.post(dst, port, payload, delay),
+        if !self.started {
+            self.started = true;
+            for global in 0..self.topo.len() {
+                let id = ComponentId(global as u32);
+                let (_, local) = self.topo.owner(id);
+                self.shard.start_component(&self.topo, local, id);
             }
         }
+        self.shard.stop = false;
+        self.shard.run_until_stop(&self.topo, horizon)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::Ctx;
+    use crate::event::Event;
 
     /// Counts events and forwards `n-1` copies of itself.
     struct Counter {
@@ -623,60 +303,6 @@ mod tests {
         sim.post(c, InPort(0), Payload::empty(), Time::ZERO);
         sim.run();
         assert_eq!(sim.trace().records().count(), 0);
-    }
-
-    #[test]
-    fn calendar_queue_matches_heap_delivery_order() {
-        // A fan-out/fan-in workload with many simultaneous events; both
-        // schedulers must produce identical logs.
-        fn run(calendar: bool) -> Vec<(Time, u64)> {
-            struct Pinger {
-                log: std::sync::Arc<std::sync::Mutex<Vec<(Time, u64)>>>,
-                id: u64,
-            }
-            impl Component for Pinger {
-                fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-                    let hops = *ev.payload.downcast::<u64>().unwrap();
-                    self.log.lock().unwrap().push((ctx.now(), self.id * 1000 + hops));
-                    if hops > 0 {
-                        // Uneven delays exercise bucket spread.
-                        let d = Time::from_ns(3 + (hops * self.id) % 40);
-                        ctx.wake_me(InPort(0), Payload::new(hops - 1), d);
-                    }
-                }
-            }
-            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let mut sim = Simulation::new(5);
-            if calendar {
-                sim.use_calendar_queue();
-            }
-            for id in 1..=6u64 {
-                let c = sim.add_component(
-                    &format!("p{id}"),
-                    Pinger {
-                        log: log.clone(),
-                        id,
-                    },
-                );
-                sim.post(c, InPort(0), Payload::new(30u64), Time::from_ns(id));
-            }
-            sim.run();
-            let v = log.lock().unwrap().clone();
-            v
-        }
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn calendar_queue_respects_run_until_horizon() {
-        let mut sim = Simulation::new(0);
-        sim.use_calendar_queue();
-        let c = sim.add_component("ctr", Counter { seen: vec![] });
-        sim.post(c, InPort(0), Payload::new(100u64), Time::ZERO);
-        let n = sim.run_until(Time::from_ns(12));
-        assert_eq!(n, 3);
-        sim.run();
-        assert_eq!(sim.events_processed(), 101);
     }
 
     #[test]

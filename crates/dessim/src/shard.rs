@@ -42,49 +42,153 @@
 //! record, and metric is bit-identical across worker-thread counts —
 //! enforced by `tests/parallel_determinism.rs` at the workspace root.
 //!
-//! The executors themselves ([`Sequential`](crate::exec::Sequential) /
-//! [`Partitioned`](crate::exec::Partitioned)) live in [`crate::exec`].
+//! The windowed executor itself lives in `crate::exec`.
 
 use crate::component::{Component, ComponentId, Ctx, Emission};
 use crate::event::{Event, InPort, OutPort, Payload};
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
-use crate::scheduler::{Link, Scheduled};
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::trace::TraceRing;
 use crate::window::WindowPolicy;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
+use std::ops::DerefMut;
 
 /// Identifies a shard within a [`ShardedSim`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ShardId(pub u32);
 
-/// The immutable, thread-shared part of a sharded simulation: component
-/// names, the shard each component lives in, the wiring table, and the
-/// lookahead derived from it.
+/// One scheduled event in a shard's heap. Ordered by (time, seq): the
+/// sequence number breaks ties deterministically in insertion order.
+pub(crate) struct Scheduled {
+    pub(crate) time: Time,
+    pub(crate) seq: u64,
+    pub(crate) dst: ComponentId,
+    pub(crate) port: InPort,
+    pub(crate) payload: Payload,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
+
+/// A wired link: (src component, out port) -> (dst component, in port, latency).
+#[derive(Clone, Copy)]
+pub(crate) struct Link {
+    pub(crate) dst: ComponentId,
+    pub(crate) port: InPort,
+    pub(crate) latency: Time,
+}
+
+/// The immutable, thread-shared part of a sharded simulation: one
+/// [`Node`] per component, indexed by global component id.
+#[derive(Default)]
 pub(crate) struct Topology {
-    /// Global component id -> registered name.
-    names: Vec<String>,
-    /// Global component id -> (owning shard, index within the shard).
-    owner: Vec<(u32, u32)>,
-    /// Outgoing links indexed `[global component][out port]`.
-    wiring: Vec<Vec<Option<Link>>>,
-    /// Minimum latency over all cross-shard links; [`Time::MAX`] when no
-    /// cross-shard link exists (single shard, or disconnected islands).
-    lookahead: Time,
-    /// Minimum link latency per ordered cross-shard pair
-    /// `(src_shard, dst_shard)` — the shard graph the per-edge
-    /// safe-time table relaxes over. `BTreeMap` keeps iteration
-    /// deterministic.
-    edges: BTreeMap<(u32, u32), Time>,
+    nodes: Vec<Node>,
+}
+
+/// A registered component as the topology sees it.
+struct Node {
+    name: String,
+    /// Owning shard and index within that shard.
+    shard: u32,
+    local: u32,
+    /// Outgoing links indexed by out port.
+    ports: Vec<Option<Link>>,
 }
 
 impl Topology {
-    /// The cross-shard pair graph (ordered pairs, minimum latency each).
+    /// Register a component living at `local` in `shard`.
+    pub(crate) fn add(&mut self, shard: u32, local: u32, name: String) -> ComponentId {
+        self.nodes.push(Node {
+            name,
+            shard,
+            local,
+            ports: Vec::new(),
+        });
+        ComponentId(self.nodes.len() as u32 - 1)
+    }
+
+    /// Wire `src.out_port` to `dst.in_port`; see [`ShardedSim::connect`].
+    pub(crate) fn connect(
+        &mut self,
+        src: ComponentId,
+        out_port: OutPort,
+        dst: ComponentId,
+        in_port: InPort,
+        latency: Time,
+    ) {
+        let nodes = &mut self.nodes;
+        let dst_shard = nodes
+            .get(dst.0 as usize)
+            .expect("connect: unknown destination component")
+            .shard;
+        let src_node = nodes
+            .get(src.0 as usize)
+            .expect("connect: unknown source component");
+        if src_node.shard != dst_shard {
+            assert!(
+                latency > Time::ZERO,
+                "cross-shard link `{}` -> `{}` must have positive latency: \
+                 zero-latency edges admit no conservative lookahead",
+                src_node.name,
+                nodes[dst.0 as usize].name,
+            );
+        }
+        let ports = &mut nodes[src.0 as usize].ports;
+        let slot = out_port.0 as usize;
+        if ports.len() <= slot {
+            ports.resize(slot + 1, None);
+        }
+        ports[slot] = Some(Link {
+            dst,
+            port: in_port,
+            latency,
+        });
+    }
+
+    /// Registered name of a component.
+    pub(crate) fn name(&self, id: ComponentId) -> &str {
+        &self.nodes[id.0 as usize].name
+    }
+
+    /// Number of registered components (global ids are `0..len`).
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// `(owning shard, index within the shard)` of a component.
+    pub(crate) fn owner(&self, id: ComponentId) -> (u32, u32) {
+        let node = &self.nodes[id.0 as usize];
+        (node.shard, node.local)
+    }
+
+    /// Every cross-shard link as `((src_shard, dst_shard), latency)` —
+    /// the shard graph the window planner relaxes over (a pair repeats
+    /// once per parallel link). Read off the wiring table when a run
+    /// starts, so building a simulation keeps no second copy of it.
     pub(crate) fn edges(&self) -> impl Iterator<Item = ((u32, u32), Time)> + '_ {
-        self.edges.iter().map(|(&k, &v)| (k, v))
+        self.nodes.iter().flat_map(move |node| {
+            node.ports.iter().flatten().filter_map(move |link| {
+                let (src, (dst, _)) = (node.shard, self.owner(link.dst));
+                (src != dst).then_some(((src, dst), link.latency))
+            })
+        })
     }
 }
 
@@ -127,23 +231,24 @@ impl Tray {
 /// needs to execute events without touching other shards.
 pub(crate) struct Shard {
     id: u32,
-    components: Vec<Box<dyn Component>>,
+    pub(crate) components: Vec<Box<dyn Component>>,
     heap: BinaryHeap<Reverse<Scheduled>>,
-    now: Time,
+    pub(crate) now: Time,
     seq: u64,
     rng: SimRng,
-    stats: Stats,
-    trace: TraceRing,
+    pub(crate) stats: Stats,
+    pub(crate) trace: TraceRing,
     metrics: Metrics,
     pub(crate) stop: bool,
-    events_processed: u64,
-    /// Outbound cross-shard events, one tray per destination shard,
+    pub(crate) events_processed: u64,
+    /// Outbound cross-shard events, indexed by destination shard,
     /// appended in emission order during a window and swapped into the
-    /// destinations' mailboxes at the barrier.
+    /// destinations' mailboxes at the barrier. Grown on the first send
+    /// to a shard, so building a shard allocates no trays.
     trays: Vec<Tray>,
-    /// Inbound cross-shard events, one buffer per source shard, filled
-    /// by the barrier swap and batch-drained at the start of this
-    /// shard's next window.
+    /// Inbound cross-shard events, indexed by source shard, filled by
+    /// the barrier swap and batch-drained at the start of this shard's
+    /// next window. Grown on the first arrival from a shard.
     mailbox: Vec<Tray>,
     /// Minimum event time across all mailbox buffers ([`Time::MAX`]
     /// when they are empty) — lets `next_time` stay O(1).
@@ -154,7 +259,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new(id: u32, rng: SimRng, nshards: usize) -> Shard {
+    pub(crate) fn new(id: u32, rng: SimRng) -> Shard {
         Shard {
             id,
             components: Vec::new(),
@@ -167,8 +272,8 @@ impl Shard {
             metrics: Metrics::disabled(),
             stop: false,
             events_processed: 0,
-            trays: (0..nshards).map(|_| Tray::default()).collect(),
-            mailbox: (0..nshards).map(|_| Tray::default()).collect(),
+            trays: Vec::new(),
+            mailbox: Vec::new(),
             mailbox_min: Time::MAX,
             floor: Time::ZERO,
         }
@@ -217,7 +322,7 @@ impl Shard {
         self.heap.append(&mut incoming);
     }
 
-    fn push_local(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
+    pub(crate) fn push_local(&mut self, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Scheduled {
@@ -273,8 +378,30 @@ impl Shard {
         delivered
     }
 
+    /// Execute events with `time <= horizon` one at a time, returning
+    /// right after an event whose handler requests a stop — the loop of
+    /// the single-threaded [`Simulation`](crate::Simulation), which has
+    /// no barrier to defer the stop to. Single-shard use only: nothing
+    /// drains the mailbox.
+    pub(crate) fn run_until_stop(&mut self, topo: &Topology, horizon: Time) -> u64 {
+        let mut delivered = 0u64;
+        while !self.stop {
+            match self.heap.peek() {
+                Some(Reverse(head)) if head.time <= horizon => {}
+                _ => break,
+            }
+            let Reverse(ev) = self.heap.pop().expect("peeked above");
+            debug_assert!(ev.time >= self.now, "time must be monotone");
+            self.now = ev.time;
+            self.dispatch(topo, ev);
+            delivered += 1;
+        }
+        self.events_processed += delivered;
+        delivered
+    }
+
     fn dispatch(&mut self, topo: &Topology, ev: Scheduled) {
-        let (shard, local) = topo.owner[ev.dst.0 as usize];
+        let (shard, local) = topo.owner(ev.dst);
         debug_assert_eq!(shard, self.id, "event routed to the wrong shard");
         let mut ctx = Ctx {
             now: self.now,
@@ -297,7 +424,7 @@ impl Shard {
         self.commit(topo, ev.dst, emissions);
     }
 
-    fn start_component(&mut self, topo: &Topology, local: u32, global: ComponentId) {
+    pub(crate) fn start_component(&mut self, topo: &Topology, local: u32, global: ComponentId) {
         let mut ctx = Ctx {
             now: self.now,
             me: global,
@@ -321,14 +448,15 @@ impl Shard {
                     payload,
                     extra_delay,
                 } => {
-                    let link = topo.wiring[src.0 as usize]
+                    let link = topo.nodes[src.0 as usize]
+                        .ports
                         .get(port.0 as usize)
                         .copied()
                         .flatten()
                         .unwrap_or_else(|| {
                             panic!(
                                 "component `{}` emitted on unwired output port {:?}",
-                                topo.names[src.0 as usize], port
+                                topo.nodes[src.0 as usize].name, port
                             )
                         });
                     let time = self.now + link.latency + extra_delay;
@@ -348,11 +476,15 @@ impl Shard {
     }
 
     fn route(&mut self, topo: &Topology, time: Time, dst: ComponentId, port: InPort, payload: Payload) {
-        let (dst_shard, _) = topo.owner[dst.0 as usize];
+        let (dst_shard, _) = topo.owner(dst);
         if dst_shard == self.id {
             self.push_local(time, dst, port, payload);
         } else {
-            self.trays[dst_shard as usize].push(CrossEvent {
+            let d = dst_shard as usize;
+            if self.trays.len() <= d {
+                self.trays.resize_with(d + 1, Tray::default);
+            }
+            self.trays[d].push(CrossEvent {
                 time,
                 dst,
                 port,
@@ -363,8 +495,8 @@ impl Shard {
 }
 
 /// A partitioned simulation: the sharded counterpart of
-/// [`Simulation`](crate::Simulation), executed by an
-/// [`ExecCore`](crate::exec::ExecCore).
+/// [`Simulation`](crate::Simulation), carried through its windows by
+/// one or more worker threads.
 ///
 /// Build it like a `Simulation` — register components (into explicit
 /// shards), wire links, post initial events — then `run`. The number of
@@ -389,16 +521,10 @@ impl ShardedSim {
         assert!(nshards > 0, "a sharded simulation needs at least one shard");
         let mut master = SimRng::new(seed);
         let shards = (0..nshards)
-            .map(|id| Shard::new(id as u32, master.fork(), nshards))
+            .map(|id| Shard::new(id as u32, master.fork()))
             .collect();
         ShardedSim {
-            topo: Topology {
-                names: Vec::new(),
-                owner: Vec::new(),
-                wiring: Vec::new(),
-                lookahead: Time::MAX,
-                edges: BTreeMap::new(),
-            },
+            topo: Topology::default(),
             shards,
             threads: 1,
             started: false,
@@ -420,34 +546,26 @@ impl ShardedSim {
         self.window_policy = policy;
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Worker threads the next `run` will use (1 = the sequential core).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Select how many worker threads execute windows. Thread count is a
-    /// pure performance knob: results are identical for any value.
+    /// Select how many worker threads execute windows (`0` and `1` both
+    /// mean one: the calling thread). Thread count is a pure performance
+    /// knob: results are identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 
     /// Register a component into `shard`; the returned id is global
     /// (usable in wiring and direct sends regardless of shard).
-    pub fn add_component<C: Component>(&mut self, shard: ShardId, name: &str, c: C) -> ComponentId {
+    pub fn add_component<C: Component>(
+        &mut self,
+        shard: ShardId,
+        name: impl Into<String>,
+        c: C,
+    ) -> ComponentId {
         let s = shard.0 as usize;
         assert!(s < self.shards.len(), "unknown shard {shard:?}");
-        let global = ComponentId(self.topo.names.len() as u32);
         let local = self.shards[s].components.len() as u32;
         self.shards[s].components.push(Box::new(c));
-        self.topo.names.push(name.to_string());
-        self.topo.owner.push((shard.0, local));
-        self.topo.wiring.push(Vec::new());
-        global
+        self.topo.add(shard.0, local, name.into())
     }
 
     /// Wire `src.out_port` to `dst.in_port` with the given link latency.
@@ -455,7 +573,7 @@ impl ShardedSim {
     /// A link between components in *different* shards is a cross-shard
     /// edge: it must have positive latency (zero-latency edges admit no
     /// lookahead), and the minimum such latency becomes the global
-    /// window width.
+    /// window width ([`ShardedSim::lookahead`]).
     pub fn connect(
         &mut self,
         src: ComponentId,
@@ -464,54 +582,19 @@ impl ShardedSim {
         in_port: InPort,
         latency: Time,
     ) {
-        assert!(
-            (dst.0 as usize) < self.topo.owner.len(),
-            "connect: unknown destination component"
-        );
-        let (src_shard, _) = self.topo.owner[src.0 as usize];
-        let (dst_shard, _) = self.topo.owner[dst.0 as usize];
-        if src_shard != dst_shard {
-            assert!(
-                latency > Time::ZERO,
-                "cross-shard link `{}` -> `{}` must have positive latency: \
-                 zero-latency edges admit no conservative lookahead",
-                self.topo.names[src.0 as usize],
-                self.topo.names[dst.0 as usize],
-            );
-            self.topo.lookahead = self.topo.lookahead.min(latency);
-            let pair = self
-                .topo
-                .edges
-                .entry((src_shard, dst_shard))
-                .or_insert(Time::MAX);
-            *pair = (*pair).min(latency);
-        }
-        let ports = self
-            .topo
-            .wiring
-            .get_mut(src.0 as usize)
-            .expect("connect: unknown source component");
-        let slot = out_port.0 as usize;
-        if ports.len() <= slot {
-            ports.resize(slot + 1, None);
-        }
-        ports[slot] = Some(Link {
-            dst,
-            port: in_port,
-            latency,
-        });
+        self.topo.connect(src, out_port, dst, in_port, latency);
     }
 
     /// The conservative lookahead: minimum cross-shard link latency, or
     /// [`Time::MAX`] when no cross-shard link exists (windows then span
     /// the whole run).
     pub fn lookahead(&self) -> Time {
-        self.topo.lookahead
+        self.topo.edges().map(|(_, latency)| latency).min().unwrap_or(Time::MAX)
     }
 
     /// Schedule an event `delay` after the owning shard's current time.
     pub fn post(&mut self, dst: ComponentId, port: InPort, payload: Payload, delay: Time) {
-        let (shard, _) = self.topo.owner[dst.0 as usize];
+        let (shard, _) = self.topo.owner(dst);
         let sh = &mut self.shards[shard as usize];
         let time = sh.now + delay;
         sh.push_local(time, dst, port, payload);
@@ -530,12 +613,12 @@ impl ShardedSim {
 
     /// Registered name of a component.
     pub fn name_of(&self, id: ComponentId) -> &str {
-        &self.topo.names[id.0 as usize]
+        self.topo.name(id)
     }
 
     /// Number of registered components (global ids are `0..count`).
     pub fn component_count(&self) -> usize {
-        self.topo.names.len()
+        self.topo.len()
     }
 
     /// Keep the last `capacity` trace records *per shard*.
@@ -587,28 +670,13 @@ impl ShardedSim {
         self.shards.iter().map(|s| s.trace.dropped()).sum()
     }
 
-    /// Render the merged trace with component names resolved.
-    pub fn render_trace(&self) -> String {
-        let names = &self.topo.names;
-        let mut merged = self.trace_merged();
-        merged.render(|id| names[id.0 as usize].clone())
-    }
-
     /// Downcast a component to its concrete type, if it opted in via
     /// [`Component::as_any`].
     pub fn component<C: Component>(&self, id: ComponentId) -> Option<&C> {
-        let (shard, local) = self.topo.owner[id.0 as usize];
+        let (shard, local) = self.topo.owner(id);
         self.shards[shard as usize].components[local as usize]
             .as_any()?
             .downcast_ref()
-    }
-
-    /// Mutable variant of [`ShardedSim::component`].
-    pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> Option<&mut C> {
-        let (shard, local) = self.topo.owner[id.0 as usize];
-        self.shards[shard as usize].components[local as usize]
-            .as_any_mut()?
-            .downcast_mut()
     }
 
     /// Are all shard heaps and mailboxes empty?
@@ -620,12 +688,13 @@ impl ShardedSim {
 
     /// Collect [`Component::health`] reports in global-id order.
     pub fn health_reports(&self) -> Vec<(String, crate::watchdog::Health)> {
-        (0..self.topo.names.len())
-            .filter_map(|i| {
-                let (shard, local) = self.topo.owner[i];
-                self.shards[shard as usize].components[local as usize]
+        self.topo
+            .nodes
+            .iter()
+            .filter_map(|node| {
+                self.shards[node.shard as usize].components[node.local as usize]
                     .health()
-                    .map(|h| (self.topo.names[i].clone(), h))
+                    .map(|h| (node.name.clone(), h))
             })
             .collect()
     }
@@ -640,32 +709,19 @@ impl ShardedSim {
         }
     }
 
-    /// Did any component request a stop during the last run?
-    pub fn stop_requested(&self) -> bool {
-        self.shards.iter().any(|s| s.stop)
-    }
-
     /// Run until every heap is empty or a component requested a stop
     /// (honored at the next window barrier). Returns events delivered.
     pub fn run(&mut self) -> u64 {
         self.run_until(Time::MAX)
     }
 
-    /// Run events with `time <= horizon` under the configured executor
-    /// ([`ShardedSim::set_threads`]). Returns events delivered by this
-    /// call.
+    /// Run events with `time <= horizon` on the configured number of
+    /// worker threads ([`ShardedSim::set_threads`]). Returns events
+    /// delivered by this call.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
-        use crate::exec::ExecCore;
         let before = self.events_processed();
         self.start_components();
-        if self.threads <= 1 {
-            crate::exec::Sequential.run(self, horizon);
-        } else {
-            crate::exec::Partitioned {
-                threads: self.threads,
-            }
-            .run(self, horizon);
-        }
+        crate::exec::run_windows(self, horizon, self.threads);
         self.events_processed() - before
     }
 
@@ -677,10 +733,11 @@ impl ShardedSim {
             return;
         }
         self.started = true;
-        for global in 0..self.topo.owner.len() {
-            let (shard, local) = self.topo.owner[global];
+        for global in 0..self.topo.len() {
+            let id = ComponentId(global as u32);
+            let (shard, local) = self.topo.owner(id);
             let Self { topo, shards, .. } = self;
-            shards[shard as usize].start_component(topo, local, ComponentId(global as u32));
+            shards[shard as usize].start_component(topo, local, id);
         }
         let mut refs: Vec<&mut Shard> = self.shards.iter_mut().collect();
         exchange_trays(&mut refs);
@@ -739,11 +796,10 @@ impl ShardedSim {
 /// comparison per edge thanks to the tray-tracked minimum. It runs on
 /// the driver thread on purpose: a panic inside a pooled worker would
 /// park the other workers at the window barrier instead of surfacing.
-pub(crate) fn exchange_trays(shards: &mut [&mut Shard]) {
-    let n = shards.len();
-    for dst in 0..n {
-        for src in 0..n {
-            if src == dst || shards[src].trays[dst].events.is_empty() {
+pub(crate) fn exchange_trays<S: DerefMut<Target = Shard>>(shards: &mut [S]) {
+    for src in 0..shards.len() {
+        for dst in 0..shards[src].trays.len() {
+            if shards[src].trays[dst].events.is_empty() {
                 continue;
             }
             let floor = shards[dst].floor;
@@ -759,6 +815,9 @@ pub(crate) fn exchange_trays(shards: &mut [&mut Shard]) {
                 floor
             );
             shards[dst].mailbox_min = shards[dst].mailbox_min.min(min);
+            if shards[dst].mailbox.len() <= src {
+                shards[dst].mailbox.resize_with(src + 1, Tray::default);
+            }
             if shards[dst].mailbox[src].events.is_empty() {
                 // Swap: the full tray becomes the mailbox buffer, and
                 // the emptied buffer returns to the sender for the next
@@ -819,7 +878,7 @@ mod tests {
             .map(|s| {
                 sim.add_component(
                     ShardId(s as u32),
-                    &format!("fwd{s}"),
+                    format!("fwd{s}"),
                     Fwd {
                         log: log.clone(),
                         tag: s as u32,
@@ -981,7 +1040,7 @@ mod tests {
                 .map(|s| {
                     sim.add_component(
                         ShardId(s as u32),
-                        &format!("fwd{s}"),
+                        format!("fwd{s}"),
                         Fwd { log: log.clone(), tag: s as u32 },
                     )
                 })
@@ -1074,7 +1133,7 @@ mod tests {
             for s in 0..nshards {
                 let c = sim.add_component(
                     ShardId(s as u32),
-                    &format!("d{s}"),
+                    format!("d{s}"),
                     Draw { out: out.clone() },
                 );
                 sim.post(c, InPort(0), Payload::empty(), Time::from_ns(s as u64));

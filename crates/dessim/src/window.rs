@@ -110,8 +110,9 @@ pub(crate) struct SafeTimeTable {
 }
 
 impl SafeTimeTable {
-    /// Build from the per-pair minimum cross-shard latencies collected
-    /// by `connect` (keys are `(src_shard, dst_shard)`).
+    /// Build from the cross-shard links collected by `connect` (keys are
+    /// `(src_shard, dst_shard)`); parallel links between one pair
+    /// collapse to their minimum latency.
     pub(crate) fn new(
         nshards: usize,
         edges: impl IntoIterator<Item = ((u32, u32), Time)>,
@@ -120,6 +121,10 @@ impl SafeTimeTable {
         for ((src, dst), lat) in edges {
             debug_assert!(lat > Time::ZERO, "cross-shard edges must have positive latency");
             out[src as usize].push((dst, lat.0));
+        }
+        for links in &mut out {
+            links.sort_unstable();
+            links.dedup_by_key(|&mut (dst, _)| dst);
         }
         SafeTimeTable {
             nshards,

@@ -92,7 +92,7 @@ impl Topo {
             .map(|n| {
                 sim.add_component(
                     ShardId(self.shard_of[n] as u32),
-                    &format!("relay{n}"),
+                    format!("relay{n}"),
                     Relay { fanout: fanout_of(n), log: Vec::new() },
                 )
             })

@@ -1,37 +1,33 @@
-//! The distributed fabric: one [`FabricPort`] per node.
+//! The fabric: one [`FabricPort`] per node.
 //!
-//! The hub [`Fabric`](crate::Fabric) is a single component, which makes
-//! it a single *shard* under the partitioned executor — every message in
-//! the cluster would serialize through one island and the parallel engine
-//! would have nothing to parallelize. `FabricPort` splits the crossbar
-//! into per-node ports: each node's port lives in that node's shard, and
-//! the only cross-shard edges are the port-to-port wires, whose 200 ns
-//! latency becomes the conservative lookahead window.
+//! A single crossbar component would be a single *shard* under the
+//! sharded engine — every message in the cluster would serialize
+//! through one island and the worker threads would have nothing to
+//! parallelize. The crossbar is therefore split into per-node ports:
+//! each node's port lives in that node's shard, and the only
+//! cross-shard edges are the port-to-port wires, whose 200 ns latency
+//! becomes the conservative lookahead window.
 //!
-//! Timing is receiver-side and matches the hub model hop for hop. The
-//! hub computes `deliver = max(t, busy[dst]) + ser + wire` with the
-//! destination's busy window advanced to `max(t, busy[dst]) + ser`. Here
-//! the source port forwards at `t`, the frame crosses the wire
-//! (`t + wire`), and the *destination* port serializes:
-//! `deliver = max(t + wire, busy') + ser` with `busy' = busy + wire` —
-//! the same schedule shifted whole onto the receiver, so bandwidth
-//! contention, FIFO ordering per destination, and per-(src, dst) order
-//! are all preserved. Absolute delivery times match the hub except where
-//! two sources tie at the same destination in the same picosecond, where
-//! the hub breaks ties by global injection sequence and the ports by
-//! (source shard, emission) order; the distributed fabric is therefore
-//! its own baseline (compared across thread counts), not a bit-exact
-//! replay of hub runs.
+//! Timing is receiver-side. The source port forwards at `t`, the frame
+//! crosses the wire (`t + wire`), and the *destination* port serializes:
+//! `deliver = max(t + wire, busy) + ser`, advancing its ingress busy
+//! window to `deliver`. That is a crossbar whose per-destination link
+//! serializes before the wire (`max(t, busy) + ser + wire`), shifted
+//! whole onto the receiver, so bandwidth contention, FIFO ordering per
+//! destination, and per-(src, dst) order are all preserved. Two sources
+//! tying at one destination in the same picosecond are ordered by
+//! (source shard, emission) — the same at every thread count.
 //!
 //! Faults roll at the *source* port from a per-node deterministic
 //! stream, so a node's fault verdicts never depend on other nodes'
 //! traffic — which is what keeps fault campaigns identical across thread
 //! counts too.
 
-use crate::fabric::{scheduled_edge_refuses, NetConfig};
+use crate::fabric::NetConfig;
 use crate::message::{Message, NodeId};
 use mpiq_dessim::fault::{FaultConfig, FaultPlan, FaultSchedule};
 use mpiq_dessim::prelude::*;
+use mpiq_dessim::trace::{ComponentFaultKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -42,8 +38,7 @@ pub const PORT_FP_INJECT: InPort = InPort(0);
 pub const PORT_FP_WIRE: InPort = InPort(1);
 
 /// Fault-plan site id for node `n`'s fabric port (offset keeps the
-/// per-node streams clear of the hub fabric's site 0 and the NIC
-/// firmware's lane sites).
+/// per-node streams clear of the NIC firmware's lane sites).
 fn port_fault_site(node: NodeId) -> u64 {
     0x4000_0000 + node as u64
 }
@@ -55,7 +50,7 @@ fn port_fault_site(node: NodeId) -> u64 {
 ///   (intra-shard).
 /// * This port's `OutPort(d)` -> node `d`'s port [`PORT_FP_WIRE`], at
 ///   [`NetConfig::wire_latency`] — including `d == node` (self-sends
-///   take a wire trip, as they do through the hub).
+///   take a wire trip too).
 /// * Arrivals are handed to the local NIC by direct send to the
 ///   component id and input port given at construction, so `mpiq-net`
 ///   needs no dependency on the NIC crate.
@@ -85,7 +80,7 @@ pub struct FabricPort {
     /// local state only and identical at any thread count.
     schedule: Option<Arc<FaultSchedule>>,
     /// Last observed up/down state per undirected edge (transition
-    /// telemetry; see [`crate::fabric`]).
+    /// telemetry; see `scheduled_edge_refuses`).
     edge_seen_down: BTreeMap<(u32, u32), bool>,
 }
 
@@ -144,14 +139,10 @@ impl FabricPort {
         OutPort(0)
     }
 
-    /// Serialization time for `bytes` on this link, rounded up to the
-    /// next picosecond (identical to the hub's charge).
-    fn serialize(&self, bytes: u64) -> Time {
-        Time::from_ps((bytes * 1000).div_ceil(self.cfg.bytes_per_ns))
-    }
-
     /// Source side: roll faults and put surviving copies on the wire.
-    fn inject(&mut self, mut msg: Message, ctx: &mut Ctx<'_>) {
+    /// Frames travel in the box the NIC put them in: the port forwards
+    /// it without copying the message.
+    fn inject(&mut self, mut msg: Box<Message>, ctx: &mut Ctx<'_>) {
         let dst = msg.header.dst_node;
         assert!(
             dst < self.nodes,
@@ -163,8 +154,8 @@ impl FabricPort {
             msg.header.src_node,
             ctx.now()
         );
-        // Component-level faults outrank message-level ones (see the hub
-        // fabric): a downed edge refuses the frame before any fault roll.
+        // Component-level faults outrank message-level ones: a frame on a
+        // downed edge never reaches the wire-fault lottery at all.
         if let Some(sched) = self.schedule.clone() {
             if scheduled_edge_refuses(
                 &sched,
@@ -196,7 +187,7 @@ impl FabricPort {
         self.put_on_wire(msg, ctx);
     }
 
-    fn put_on_wire(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
+    fn put_on_wire(&mut self, msg: Box<Message>, ctx: &mut Ctx<'_>) {
         ctx.stats().incr("net.messages");
         ctx.stats().add("net.bytes", msg.wire_bytes());
         let port = if self.uplink {
@@ -204,23 +195,23 @@ impl FabricPort {
         } else {
             Self::out_port(msg.header.dst_node)
         };
-        ctx.emit(port, Payload::new(msg));
+        ctx.emit(port, Payload::from_box(msg));
     }
 
     /// Receiver side: occupy the ingress link, then hand the frame to
     /// the local NIC.
-    fn receive(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let ser = self.serialize(msg.wire_bytes());
+    fn receive(&mut self, msg: Box<Message>, ctx: &mut Ctx<'_>) {
+        let ser = self.cfg.serialize(msg.wire_bytes());
         let start = ctx.now().max(self.busy_until);
         self.busy_until = start + ser;
         let delay = (start + ser) - ctx.now();
-        ctx.send_to(self.nic, self.nic_rx, Payload::new(msg), delay);
+        ctx.send_to(self.nic, self.nic_rx, Payload::from_box(msg), delay);
     }
 }
 
 impl Component for FabricPort {
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-        let msg = *ev.payload.downcast::<Message>().unwrap_or_else(|p| {
+        let msg = ev.payload.downcast::<Message>().unwrap_or_else(|p| {
             panic!(
                 "fabric port accepts Message payloads only; got {p:?} on port {:?} at t={}",
                 ev.port, ev.time
@@ -232,6 +223,41 @@ impl Component for FabricPort {
             other => panic!("fabric port has no input port {other:?}"),
         }
     }
+}
+
+/// Scheduled-edge check at a source port: look up the edge's state at
+/// `now`, count/trace the transition if it differs from the last
+/// *observed* state (edge-triggered on traffic — both telemetry sinks are no-ops
+/// unless the harness enabled them), and say whether the frame must be
+/// refused. Pure function of `(schedule, edge, now)` plus locally
+/// observed traffic, so it is deterministic at any thread count.
+fn scheduled_edge_refuses(
+    schedule: &Arc<FaultSchedule>,
+    edge_seen_down: &mut BTreeMap<(u32, u32), bool>,
+    src: u32,
+    dst: u32,
+    ctx: &mut Ctx<'_>,
+) -> bool {
+    let down = schedule.edge_down(src, dst, ctx.now());
+    let key = (src.min(dst), src.max(dst));
+    let seen = edge_seen_down.entry(key).or_insert(false);
+    if *seen != down {
+        *seen = down;
+        ctx.metrics().add("fault.flap_transitions", 1);
+        ctx.trace(TraceEvent::ComponentFault {
+            kind: if down {
+                ComponentFaultKind::LinkDown
+            } else {
+                ComponentFaultKind::LinkUp
+            },
+            node: key.0,
+            peer: key.1,
+        });
+    }
+    if down {
+        ctx.stats().incr("net.sched.edge_drops");
+    }
+    down
 }
 
 /// Wire every pair of ports together (including each port to itself) at
@@ -260,97 +286,33 @@ pub fn wire_ports(sim: &mut mpiq_dessim::ShardedSim, ports: &[ComponentId], cfg:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MsgHeader, MsgKind};
-    use mpiq_dessim::{ShardId, ShardedSim};
-    use std::sync::{Arc, Mutex};
+    use crate::fabric::tests::{msg, Rig};
 
-    fn msg(src: NodeId, dst: NodeId, len: u32, seq: u64) -> Message {
-        Message::new(
-            MsgHeader {
-                src_node: src,
-                dst_node: dst,
-                dst_rank: dst,
-                context: 0,
-                src_rank: src as u16,
-                tag: 0,
-                payload_len: len,
-                kind: MsgKind::Eager,
-                seq,
-            },
-            Message::test_payload(len as usize, 0),
-        )
-    }
-
-    type DeliveryLog = Arc<Mutex<Vec<(Time, u64, bool)>>>;
-
-    struct Sink {
-        got: DeliveryLog,
-    }
-    impl Component for Sink {
-        fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-            let m = ev.payload.downcast::<Message>().unwrap();
-            self.got
-                .lock()
-                .unwrap()
-                .push((ctx.now(), m.header.seq, m.link.crc_ok));
-        }
-    }
-
-    /// One shard per node, each holding a sink ("the NIC") and a port.
-    fn build(nodes: u32, threads: usize, faults: FaultConfig) -> (ShardedSim, Vec<ComponentId>, Vec<DeliveryLog>) {
-        let mut sim = ShardedSim::new(7, nodes as usize);
-        sim.set_threads(threads);
-        let mut logs = Vec::new();
-        let mut sinks = Vec::new();
-        for n in 0..nodes {
-            let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
-            let sink = sim.add_component(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
-            logs.push(log);
-            sinks.push(sink);
-        }
-        let ports: Vec<ComponentId> = (0..nodes)
-            .map(|n| {
-                let p = FabricPort::with_faults(
-                    NetConfig::default(),
-                    nodes,
-                    n,
-                    sinks[n as usize],
-                    InPort(0),
-                    faults,
-                );
-                sim.add_component(ShardId(n), &format!("net{n}"), p)
-            })
-            .collect();
-        wire_ports(&mut sim, &ports, &NetConfig::default());
-        (sim, ports, logs)
+    fn rig(nodes: u32, threads: usize, faults: FaultConfig) -> Rig {
+        let mut r = Rig::new(nodes, NetConfig::default(), faults);
+        r.sim.set_threads(threads);
+        r
     }
 
     #[test]
     fn delivery_time_matches_hub_model() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 1, 0, 1)), Time::ZERO);
-        sim.run();
-        let (t, seq, crc) = logs[1].lock().unwrap()[0];
+        let mut r = rig(2, 1, FaultConfig::none());
+        r.send(msg(0, 1, 0, 1), Time::ZERO);
+        let (t, seq, crc) = r.run()[1][0];
         assert_eq!(seq, 1);
         assert!(crc);
-        // 200 ns wire + 32 header bytes at 2 B/ns = 16 ns — same total as
-        // the hub, with serialization on the receive side of the wire.
+        // 200 ns wire + 32 header bytes at 2 B/ns = 16 ns — a crossbar's
+        // total, with serialization on the receive side of the wire.
         assert_eq!(t, Time::from_ns(216));
     }
 
     #[test]
     fn receiver_link_serializes_and_preserves_order() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
+        let mut r = rig(2, 1, FaultConfig::none());
         for seq in 0..4 {
-            sim.post(
-                ports[0],
-                PORT_FP_INJECT,
-                Payload::new(msg(0, 1, 1000, seq)),
-                Time::ZERO,
-            );
+            r.send(msg(0, 1, 1000, seq), Time::ZERO);
         }
-        sim.run();
-        let got = logs[1].lock().unwrap();
+        let got = r.run().swap_remove(1);
         let seqs: Vec<u64> = got.iter().map(|&(_, s, _)| s).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3], "per-(src,dst) order violated");
         // 1032 wire bytes serialize for 516 ns behind the 200 ns wire.
@@ -360,40 +322,31 @@ mod tests {
 
     #[test]
     fn self_send_takes_the_wire() {
-        let (mut sim, ports, logs) = build(2, 1, FaultConfig::none());
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 0, 0, 5)), Time::ZERO);
-        sim.run();
-        assert_eq!(logs[0].lock().unwrap()[0].0, Time::from_ns(216));
+        let mut r = rig(2, 1, FaultConfig::none());
+        r.send(msg(0, 0, 0, 5), Time::ZERO);
+        assert_eq!(r.run()[0][0].0, Time::from_ns(216));
     }
 
     #[test]
     fn thread_count_does_not_change_deliveries_or_stats() {
         let faults: FaultConfig = "seed=3,drop=0.1,corrupt=0.05".parse().unwrap();
         let run = |threads: usize| {
-            let (mut sim, ports, logs) = build(4, threads, faults);
+            let mut r = rig(4, threads, faults);
             let mut seq = 0;
             for src in 0..4u32 {
                 for dst in 0..4u32 {
                     for k in 0..8u64 {
-                        sim.post(
-                            ports[src as usize],
-                            PORT_FP_INJECT,
-                            Payload::new(msg(src, dst, 256, seq)),
-                            Time::from_ns(k * 100),
-                        );
+                        r.send(msg(src, dst, 256, seq), Time::from_ns(k * 100));
                         seq += 1;
                     }
                 }
             }
-            sim.run();
-            let mut deliveries: Vec<(u32, Time, u64, bool)> = Vec::new();
-            for (n, log) in logs.iter().enumerate() {
-                for &(t, s, c) in log.lock().unwrap().iter() {
-                    deliveries.push((n as u32, t, s, c));
-                }
+            let mut deliveries: Vec<(usize, Time, u64, bool)> = Vec::new();
+            for (n, log) in r.run().into_iter().enumerate() {
+                deliveries.extend(log.into_iter().map(|(t, s, c)| (n, t, s, c)));
             }
             deliveries.sort();
-            (deliveries, sim.stats_merged().to_json())
+            (deliveries, r.sim.stats_merged().to_json())
         };
         let base = run(1);
         for t in [2, 4] {
@@ -413,48 +366,28 @@ mod tests {
             },
             ..NetConfig::default()
         };
-        let mut sim = ShardedSim::new(7, 3);
-        let mut logs: Vec<DeliveryLog> = Vec::new();
-        let mut sinks = Vec::new();
-        for n in 0..3u32 {
-            let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
-            let sink = sim.add_component(ShardId(n), &format!("sink{n}"), Sink { got: log.clone() });
-            logs.push(log);
-            sinks.push(sink);
-        }
-        let ports: Vec<ComponentId> = (0..3u32)
-            .map(|n| {
-                let p = FabricPort::new(cfg, 3, n, sinks[n as usize], InPort(0));
-                sim.add_component(ShardId(n), &format!("net{n}"), p)
-            })
-            .collect();
-        wire_ports(&mut sim, &ports, &cfg);
+        let mut r = Rig::new(3, cfg, FaultConfig::none());
         // The short pair's wire latency is the engine's tightest edge.
-        assert_eq!(sim.lookahead(), Time::from_ns(10));
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 1, 0, 1)), Time::ZERO);
-        sim.post(ports[0], PORT_FP_INJECT, Payload::new(msg(0, 2, 0, 2)), Time::ZERO);
-        sim.run();
+        assert_eq!(r.sim.lookahead(), Time::from_ns(10));
+        r.send(msg(0, 1, 0, 1), Time::ZERO);
+        r.send(msg(0, 2, 0, 2), Time::ZERO);
+        let got = r.run();
         // 0 -> 1 rides the 10 ns wire; 0 -> 2 the 1 us wire; both then
         // serialize 32 header bytes at 2 B/ns = 16 ns on arrival.
-        assert_eq!(logs[1].lock().unwrap()[0].0, Time::from_ns(10 + 16));
-        assert_eq!(logs[2].lock().unwrap()[0].0, Time::from_ns(1000 + 16));
+        assert_eq!(got[1][0].0, Time::from_ns(10 + 16));
+        assert_eq!(got[2][0].0, Time::from_ns(1000 + 16));
     }
 
     #[test]
     fn fault_verdicts_are_per_source_deterministic() {
         let faults: FaultConfig = "seed=9,drop=0.3".parse().unwrap();
         let run = || {
-            let (mut sim, ports, _logs) = build(2, 1, faults);
+            let mut r = rig(2, 1, faults);
             for seq in 0..100 {
-                sim.post(
-                    ports[0],
-                    PORT_FP_INJECT,
-                    Payload::new(msg(0, 1, 64, seq)),
-                    Time::from_ns(seq * 1000),
-                );
+                r.send(msg(0, 1, 64, seq), Time::from_ns(seq * 1000));
             }
-            sim.run();
-            sim.stats_merged().get("net.faults.dropped")
+            r.run();
+            r.stat("net.faults.dropped")
         };
         let a = run();
         assert_eq!(a, run(), "same seed must drop the same messages");

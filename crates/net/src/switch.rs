@@ -1,12 +1,12 @@
 //! A switch in a planned topology: output-queued trunk ports with finite
 //! link bandwidth, plus node downlink ports.
 //!
-//! Timing model, hop for hop the same discipline as the hub fabric and
-//! the [`crate::port::FabricPort`]s:
+//! Timing model, hop for hop the same discipline as the
+//! [`crate::port::FabricPort`]s:
 //!
 //! * **Trunk hop** — the frame occupies the chosen output port's
 //!   serialization window (`max(now, busy) + ser`, with `ser` rounded up
-//!   to the next picosecond exactly like `Fabric::serialize` — no silent
+//!   to the next picosecond by [`NetConfig::serialize`] — no silent
 //!   truncation on the multi-hop path), then rides the trunk wire (the
 //!   `connect` latency). Contending frames queue FIFO behind the window,
 //!   which is the output-queueing/link-contention model.
@@ -18,7 +18,7 @@
 //! Scheduled link faults stay at the *source* port: `FabricPort::inject`
 //! refuses a frame whose (src, dst) edge the fault schedule has down, so
 //! a downed edge blackholes the pair end-to-end no matter how many
-//! switches sit between them — the same semantics the hub enforces, kept
+//! switches sit between them — the same semantics as on the hub, kept
 //! out of the per-hop hot loop.
 //!
 //! [`FabricPort`]: crate::port::FabricPort
@@ -72,18 +72,14 @@ impl Switch {
         assert!(j < plan.attached[id].len());
         OutPort((plan.neighbors[id].len() + j) as u16)
     }
-
-    /// Serialization time for `bytes` on a trunk, rounded up to the next
-    /// picosecond (identical to `Fabric::serialize`).
-    fn serialize(&self, bytes: u64) -> Time {
-        Time::from_ps((bytes * 1000).div_ceil(self.cfg.bytes_per_ns))
-    }
 }
 
 impl Component for Switch {
     fn on_event(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         assert_eq!(ev.port, PORT_SW_IN, "switch has a single input port");
-        let msg = *ev.payload.downcast::<Message>().unwrap_or_else(|p| {
+        // The frame stays in its box from hop to hop: forwarding never
+        // copies the message.
+        let msg = ev.payload.downcast::<Message>().unwrap_or_else(|p| {
             panic!(
                 "switch accepts Message payloads only; got {p:?} at t={}",
                 ev.time
@@ -99,17 +95,17 @@ impl Component for Switch {
                     });
                 ctx.emit(
                     Switch::node_port(&self.plan, self.id, j),
-                    Payload::new(msg),
+                    Payload::from_box(msg),
                 );
             }
             RouteStep::Forward(p) => {
-                let ser = self.serialize(msg.wire_bytes());
+                let ser = self.cfg.serialize(msg.wire_bytes());
                 let start = ctx.now().max(self.trunk_busy[p]);
                 self.trunk_busy[p] = start + ser;
                 ctx.stats().incr("net.switch.hops");
                 ctx.emit_after(
                     Switch::trunk_port(&self.plan, self.id, p),
-                    Payload::new(msg),
+                    Payload::from_box(msg),
                     (start + ser) - ctx.now(),
                 );
             }
@@ -160,7 +156,7 @@ mod tests {
         let plan = Arc::new(Topology::FatTree { down: 4, up: 1 }.plan(8).unwrap());
         let mut sim = Simulation::new(7);
         let sw: Vec<ComponentId> = (0..plan.switches())
-            .map(|s| sim.add_component(&format!("sw{s}"), Switch::new(s, plan.clone(), cfg)))
+            .map(|s| sim.add_component(format!("sw{s}"), Switch::new(s, plan.clone(), cfg)))
             .collect();
         for (a, ns) in plan.neighbors.iter().enumerate() {
             for (i, &b) in ns.iter().enumerate() {
@@ -202,7 +198,7 @@ mod tests {
     }
 
     /// Switch-hop serialization rounds partial bytes *up*, exactly like
-    /// the hub `Fabric::serialize` fix — the multi-hop path must not
+    /// the last hop at the receiving port — the multi-hop path must not
     /// reintroduce silent truncation.
     #[test]
     fn trunk_serialization_rounds_up_not_down() {

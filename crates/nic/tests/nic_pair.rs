@@ -3,7 +3,7 @@
 //! matching semantics, ordering, and baseline-vs-ALPU equivalence.
 
 use mpiq_dessim::prelude::*;
-use mpiq_net::{Fabric, NetConfig, PORT_FROM_NIC};
+use mpiq_net::{FabricPort, NetConfig, PORT_FP_INJECT, PORT_FP_WIRE};
 use mpiq_nic::{
     Completion, HostRequest, Nic, NicConfig, ReqId, PORT_HOST_COMP, PORT_HOST_REQ, PORT_NET_RX,
     PORT_NET_TX,
@@ -42,17 +42,22 @@ struct World {
 
 fn build(cfg: NicConfig, scripts: Vec<Vec<(Time, HostRequest)>>) -> World {
     let n = scripts.len() as u32;
+    let net = NetConfig::default();
     let mut sim = Simulation::new(1);
-    let fab = sim.add_component("net", Fabric::new(NetConfig::default(), n));
     let mut nics = Vec::new();
+    let mut ports = Vec::new();
     let mut logs = Vec::new();
     for (node, script) in scripts.into_iter().enumerate() {
-        let nic = sim.add_component(&format!("nic{node}"), Nic::new(node as u32, cfg));
-        sim.connect(nic, PORT_NET_TX, fab, PORT_FROM_NIC, Time::ZERO);
-        sim.connect(fab, Fabric::out_port(node as u32), nic, PORT_NET_RX, Time::ZERO);
+        let nic = sim.add_component(format!("nic{node}"), Nic::new(node as u32, cfg));
+        let port = sim.add_component(
+            format!("net{node}"),
+            FabricPort::new(net, n, node as u32, nic, PORT_NET_RX),
+        );
+        sim.connect(nic, PORT_NET_TX, port, PORT_FP_INJECT, Time::ZERO);
+        ports.push(port);
         let log = Arc::new(Mutex::new(Vec::new()));
         let host = sim.add_component(
-            &format!("host{node}"),
+            format!("host{node}"),
             ScriptHost {
                 nic,
                 script,
@@ -62,6 +67,12 @@ fn build(cfg: NicConfig, scripts: Vec<Vec<(Time, HostRequest)>>) -> World {
         sim.connect(nic, PORT_HOST_COMP, host, InPort(0), Time::from_ns(20));
         nics.push(nic);
         logs.push(log);
+    }
+    for (s, &src) in ports.iter().enumerate() {
+        for (d, &dst) in ports.iter().enumerate() {
+            let wire = net.latency_between(s as u32, d as u32);
+            sim.connect(src, FabricPort::out_port(d as u32), dst, PORT_FP_WIRE, wire);
+        }
     }
     World { sim, nics, logs }
 }

@@ -34,16 +34,16 @@ pub const SHUTDOWN: u64 = u64::MAX;
 
 /// The broadcast channel between the driver and the workers.
 pub struct Broadcast {
-    start: Barrier,
-    done: Barrier,
+    /// The start and end barriers of a round; `None` when the driver is
+    /// the only party, so a lone driver never pays for a barrier wait.
+    barriers: Option<(Barrier, Barrier)>,
     plan: AtomicU64,
 }
 
 impl Broadcast {
     fn new(parties: usize) -> Broadcast {
         Broadcast {
-            start: Barrier::new(parties),
-            done: Barrier::new(parties),
+            barriers: (parties > 1).then(|| (Barrier::new(parties), Barrier::new(parties))),
             plan: AtomicU64::new(SHUTDOWN),
         }
     }
@@ -53,15 +53,21 @@ impl Broadcast {
     /// and return once every worker has finished the round.
     pub fn step(&self, plan: u64, local: impl FnOnce()) {
         assert_ne!(plan, SHUTDOWN, "u64::MAX is reserved as the shutdown plan");
+        let Some((start, done)) = &self.barriers else {
+            local();
+            return;
+        };
         self.plan.store(plan, Ordering::Relaxed);
-        self.start.wait();
+        start.wait();
         local();
-        self.done.wait();
+        done.wait();
     }
 
     fn shutdown(&self) {
-        self.plan.store(SHUTDOWN, Ordering::Relaxed);
-        self.start.wait();
+        if let Some((start, _)) = &self.barriers {
+            self.plan.store(SHUTDOWN, Ordering::Relaxed);
+            start.wait();
+        }
     }
 }
 
@@ -71,32 +77,35 @@ impl Broadcast {
 /// inside [`Broadcast::step`]). `drive` orchestrates rounds and its
 /// return value is passed through.
 ///
-/// With `extra_workers == 0` no threads spawn and `step` degenerates to
-/// calling `local` inline — single-threaded callers pay nothing.
+/// With `extra_workers == 0` no threads spawn, no barriers are built, and
+/// `step` degenerates to calling `local` inline — single-threaded
+/// callers pay no synchronization at all.
 pub fn run<R>(
     extra_workers: usize,
     work: impl Fn(usize, u64) + Sync,
     drive: impl FnOnce(&Broadcast) -> R,
 ) -> R {
     let bc = Broadcast::new(extra_workers + 1);
+    if extra_workers == 0 {
+        return drive(&bc);
+    }
     let work = &work;
     std::thread::scope(|scope| {
+        let (start, done) = bc.barriers.as_ref().expect("two or more parties");
         for w in 1..=extra_workers {
-            let bc = &bc;
+            let plan = &bc.plan;
             scope.spawn(move || loop {
-                bc.start.wait();
-                let plan = bc.plan.load(Ordering::Relaxed);
+                start.wait();
+                let plan = plan.load(Ordering::Relaxed);
                 if plan == SHUTDOWN {
                     break;
                 }
                 work(w, plan);
-                bc.done.wait();
+                done.wait();
             });
         }
         let r = drive(&bc);
-        if extra_workers > 0 {
-            bc.shutdown();
-        }
+        bc.shutdown();
         r
     })
 }
@@ -135,6 +144,13 @@ mod tests {
             bc.step(7, || n += 42);
         });
         assert_eq!(n, 42);
+    }
+
+    #[test]
+    fn zero_extra_workers_build_no_barriers() {
+        let barriers = run(0, |_, _| {}, |bc| bc.barriers.is_some());
+        assert!(!barriers, "a lone driver must never wait on a barrier");
+        assert!(run(1, |_, _| {}, |bc| bc.barriers.is_some()));
     }
 
     #[test]

@@ -57,10 +57,10 @@ fn crash_workload(ranks: u32, logs: &mut Vec<StatusLog>) -> Vec<Box<dyn AppProgr
     programs
 }
 
-/// A node crash in the middle of a barrier: the run must finish on both
-/// engines — no hang, no panic — with typed `RankFailed` statuses on
-/// every survivor's receive from the dead rank, inside the watchdog
-/// deadline.
+/// A node crash in the middle of a barrier: the run must finish at one
+/// engine thread and at two — no hang, no panic — with typed
+/// `RankFailed` statuses on every survivor's receive from the dead rank,
+/// inside the watchdog deadline.
 #[test]
 fn crash_mid_collective_surfaces_typed_rank_failure() {
     const RANKS: u32 = 4;

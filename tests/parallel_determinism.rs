@@ -15,7 +15,9 @@ use mpiq_bench::{
 };
 use proptest::prelude::*;
 
-const THREADS: [usize; 3] = [1, 2, 4];
+/// Thread counts every workload must agree across. `0` and `1` both
+/// mean one thread, so `0` is held to the same bytes as the others.
+const THREADS: [usize; 4] = [1, 0, 2, 4];
 
 /// Fig. 5 points are bit-identical across thread counts: the full
 /// measured result (latency, traversal and cache counters) must match
@@ -217,7 +219,7 @@ fn run_assignment(
     for (s, &shard) in assignment.iter().enumerate() {
         let id = sim.add_component(
             ShardId(shard as u32),
-            &format!("sender{s}"),
+            format!("sender{s}"),
             Sender {
                 count: 6,
                 // Distinct periods give every delivery a distinct
