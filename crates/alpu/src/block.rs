@@ -6,20 +6,24 @@
 //! therefore the *oldest* posted entry and wins prioritization, which is
 //! exactly MPI's first-match rule.
 //!
-//! The chain is partitioned into power-of-two blocks. Blocks matter in two
-//! places:
+//! The chain is partitioned into power-of-two blocks. Each block selects
+//! its local winner through a binary tree of 2-to-1 muxes (modeled
+//! literally in [`priority_select`]), then the same tree shape runs across
+//! block winners. The tree depth sets the pipeline latency (see
+//! [`crate::timing`]).
 //!
-//! * **Priority muxing** — each block selects its local winner through a
-//!   binary tree of 2-to-1 muxes (modeled literally in
-//!   [`priority_select`]), then the same tree shape runs across block
-//!   winners. The tree depth sets the pipeline latency
-//!   (see [`crate::timing`]).
-//! * **Compaction** — holes left by unevenly timed inserts migrate one
-//!   cell per cycle, and a transfer may cross a block boundary only into
-//!   the lowest cell of the next block (the paper's "space available"
-//!   rule). Deletion is different: the match location is broadcast to all
-//!   blocks and every cell at or below it shifts up in a single cycle, so
-//!   deletes never create holes.
+//! Holes left by unevenly timed inserts migrate up one cell per cycle.
+//! The paper lets a transfer cross a block boundary only into the lowest
+//! cell of the next block ("space available"), but a one-cell move across
+//! a boundary always lands in that lowest cell, so the rule never blocks
+//! a move and blocks play no part in compaction. What is left is the
+//! rule-184 automaton: an entry moves up one cell iff the cell above it
+//! was empty before the clock. That has a closed form (see
+//! [`CellArray::compact_steps`]), so k cycles cost one pass over the
+//! entries still below the packed top run, whatever k and the capacity.
+//! Deletion is different: the match location is broadcast to all blocks
+//! and every cell at or below it shifts up in a single cycle, so deletes
+//! never create holes.
 
 use crate::cell::{cell_matches, Cell};
 use crate::engine::AlpuKind;
@@ -71,12 +75,18 @@ pub struct CellArray {
     cells: Vec<Cell>,
     block_size: usize,
     kind: AlpuKind,
-    /// Maintained count of valid cells, so `occupied()` is O(1). Kept
-    /// exact by `insert`/`delete_shift`/`reset`.
-    len: usize,
-    /// Maintained compactness flag, so `is_compact()` is O(1). Invariant:
-    /// always equals the O(n) hole scan (checked in debug builds).
-    compact: bool,
+    /// Length of the packed run at the top of the chain: entries
+    /// `0..packed` (0 = topmost) sit in cells `n-1` down to `n-packed`
+    /// and can never move again.
+    packed: usize,
+    /// Cell indices of the entries below the packed run, topmost first
+    /// (strictly decreasing). The array is compact iff this is empty.
+    /// Every mutation keeps it exact (checked against the cells in debug
+    /// builds).
+    mobile: Vec<usize>,
+    /// Scratch for [`CellArray::compact_steps`]: the sliding-window
+    /// minimum as `(entry index, key)` pairs, reused across calls.
+    window: Vec<(usize, usize)>,
 }
 
 impl CellArray {
@@ -93,8 +103,9 @@ impl CellArray {
             cells: vec![None; total],
             block_size,
             kind,
-            len: 0,
-            compact: true,
+            packed: 0,
+            mobile: Vec::new(),
+            window: Vec::new(),
         }
     }
 
@@ -113,14 +124,9 @@ impl CellArray {
         self.cells.len() / self.block_size
     }
 
-    /// Number of valid entries (O(1); maintained counter).
+    /// Number of valid entries (O(1): packed run plus mobile entries).
     pub fn occupied(&self) -> usize {
-        debug_assert_eq!(
-            self.len,
-            self.cells.iter().filter(|c| c.is_some()).count(),
-            "occupancy counter out of sync with the valid bits"
-        );
-        self.len
+        self.packed + self.mobile.len()
     }
 
     /// Number of free cells.
@@ -144,7 +150,7 @@ impl CellArray {
     /// a single allocation-free descending scan. The two paths are
     /// asserted identical in debug builds and in the unit tests.
     pub fn match_probe(&self, probe: Probe) -> Option<(usize, Tag)> {
-        let result = if self.len == 0 {
+        let result = if self.occupied() == 0 {
             None
         } else {
             self.cells.iter().enumerate().rev().find_map(|(i, c)| {
@@ -197,7 +203,8 @@ impl CellArray {
     /// Single-cycle delete-with-shift: the match location is broadcast to
     /// all blocks; cells at and below `loc` shift up one position, and
     /// cell 0 becomes empty. Order among survivors is preserved and no
-    /// hole is created.
+    /// hole is created, so no entry joins or leaves the packed run except
+    /// the deleted one (which may be the last mobile entry).
     pub fn delete_shift(&mut self, loc: usize) {
         assert!(loc < self.cells.len());
         assert!(self.cells[loc].is_some(), "deleting an invalid cell");
@@ -205,13 +212,16 @@ impl CellArray {
             self.cells[i] = self.cells[i - 1];
         }
         self.cells[0] = None;
-        self.len -= 1;
-        // A delete can't introduce a hole; it *can* remove the last one
-        // (a hole shifting into the now-empty bottom region), so a
-        // non-compact array must be re-examined.
-        if !self.compact {
-            self.compact = self.scan_is_compact();
+        let below = self.mobile.partition_point(|&x| x > loc);
+        if self.mobile.get(below) == Some(&loc) {
+            self.mobile.remove(below);
+        } else {
+            self.packed -= 1;
         }
+        for x in &mut self.mobile[below..] {
+            *x += 1;
+        }
+        self.debug_check_layout();
     }
 
     /// Insert a new entry at cell 0. Fails if cell 0 is still occupied
@@ -222,75 +232,95 @@ impl CellArray {
             return false;
         }
         self.cells[0] = Some(e);
-        self.len += 1;
-        // The new entry sits at the bottom; if the cell above is empty
-        // there is now (or may be) a hole to migrate upward.
-        if self.cells.len() > 1 && self.cells[1].is_none() {
-            self.compact = false;
+        // The new entry is packed only if it completes a full array.
+        if self.mobile.is_empty() && self.packed + 1 == self.cells.len() {
+            self.packed += 1;
+        } else {
+            self.mobile.push(0);
         }
+        self.debug_check_layout();
         true
     }
 
-    /// One clock of hole compaction: each empty cell with an occupied
-    /// neighbor below absorbs it, provided the transfer stays within a
-    /// block or lands in the lowest cell of the next block ("space
-    /// available", §III-B). Returns whether any data moved.
-    pub fn compact_step(&mut self) -> bool {
-        if self.compact {
+    /// `k` clocks of hole compaction in one step, identical to `k`
+    /// single cycles. Returns whether any data moved, which is whenever
+    /// `k > 0` and the array is not compact: the topmost mobile entry
+    /// always has an empty cell above it.
+    ///
+    /// Each clock, every entry whose upper neighbor cell was empty before
+    /// the clock moves up one cell. With entries numbered from the top
+    /// (`j = 0` topmost) at cells `x_j`, entry `j` moves iff
+    /// `x_{j-1} > x_j + 1`, so `x_j' = min(x_j + 1, x_{j-1} - 1)`, and the
+    /// top cell `n-1` acts as a fixed entry at `n`. Unrolling that
+    /// min-plus recurrence over `k` clocks gives
+    ///
+    /// `x_j(k) = min(n-1-j, k - 2j + min{x_m + 2m : j-k <= m <= j})`.
+    ///
+    /// Packed entries (`x_m = n-1-m`) never beat the `n-1-j` term inside
+    /// that window, so only mobile entries enter the minimum: one pass
+    /// over them with a monotonic sliding-window minimum, moving each
+    /// entry top first into a cell its upper neighbor has already left.
+    /// The cost is O(mobile entries), whatever `k` and the capacity.
+    pub fn compact_steps(&mut self, k: u64) -> bool {
+        if k == 0 || self.mobile.is_empty() {
             return false;
         }
         let n = self.cells.len();
-        // Moves are decided against the pre-cycle state: destination `i`
-        // receives from `i-1`. A cell is never both source and destination
-        // (sources are occupied, destinations empty), so walking from the
-        // top and skipping past each performed move applies exactly the
-        // pre-state move set with no scratch buffer: after a move into
-        // `i`, cell `i-1` was occupied pre-cycle and so cannot also be a
-        // destination.
-        let mut moved = false;
-        let mut i = n - 1;
-        while i >= 1 {
-            if self.cells[i].is_none() && self.cells[i - 1].is_some() {
-                let same_block = (i / self.block_size) == ((i - 1) / self.block_size);
-                let block_lowest = i.is_multiple_of(self.block_size);
-                if same_block || block_lowest {
-                    self.cells[i] = self.cells[i - 1].take();
-                    moved = true;
-                    i -= 1; // `i-1` was a pre-state source, never a destination
-                }
+        // After n clocks every entry is packed (the window then holds
+        // m = 0..=j, and x_m + 2m >= j + m), so larger k change nothing.
+        let k = k.min(n as u64) as usize;
+        self.window.clear();
+        let mut head = 0;
+        let mut joined = 0;
+        for (i, x) in self.mobile.iter_mut().enumerate() {
+            let j = self.packed + i;
+            let key = *x + 2 * j;
+            while self.window.len() > head && self.window[self.window.len() - 1].1 >= key {
+                self.window.pop();
             }
-            if i == 0 {
-                break;
+            self.window.push((j, key));
+            while self.window[head].0 + k < j {
+                head += 1;
             }
-            i -= 1;
+            let to = (k + self.window[head].1 - 2 * j).min(n - 1 - j);
+            if to != *x {
+                self.cells[to] = self.cells[*x].take();
+                *x = to;
+            }
+            if joined == i && to == n - 1 - j {
+                joined += 1;
+            }
         }
-        if !moved {
-            self.compact = true;
-            return false;
-        }
-        // Check if fully compacted now: no empty cell below an occupied one.
-        self.compact = self.scan_is_compact();
-        // Note: `compact` here means "no holes"; an occupied cell 0 with
-        // everything above full is also compact.
+        self.packed += joined;
+        self.mobile.drain(..joined);
+        self.debug_check_layout();
         true
     }
 
     /// True when no hole separates occupied cells (all data packed at the
-    /// top of the chain). O(1): returns the maintained flag, which every
-    /// mutation keeps exact (verified against the scan in debug builds).
+    /// top of the chain). O(1): no entry lies below the packed run.
     pub fn is_compact(&self) -> bool {
-        debug_assert_eq!(
-            self.compact,
-            self.scan_is_compact(),
-            "compactness flag out of sync with the cell state"
-        );
-        self.compact
+        self.mobile.is_empty()
     }
 
-    /// The O(n) hole scan defining compactness.
-    fn scan_is_compact(&self) -> bool {
-        let n = self.cells.len();
-        !(1..n).any(|i| self.cells[i].is_none() && self.cells[i - 1].is_some())
+    /// Debug builds: the packed run and the mobile list describe exactly
+    /// the valid bits of the cells.
+    fn debug_check_layout(&self) {
+        if cfg!(debug_assertions) {
+            let n = self.cells.len();
+            let valid: Vec<usize> = (0..n).rev().filter(|&i| self.cells[i].is_some()).collect();
+            let packed = valid
+                .iter()
+                .enumerate()
+                .take_while(|&(j, &x)| x == n - 1 - j)
+                .count();
+            assert_eq!(packed, self.packed, "packed run out of sync with the cells");
+            assert_eq!(
+                &valid[packed..],
+                &self.mobile[..],
+                "mobile list out of sync with the cells"
+            );
+        }
     }
 
     /// Clear all valid bits (RESET).
@@ -298,8 +328,8 @@ impl CellArray {
         for c in &mut self.cells {
             *c = None;
         }
-        self.len = 0;
-        self.compact = true;
+        self.packed = 0;
+        self.mobile.clear();
     }
 
     /// Fault injection: flip one bit of a stored match word. `sel` picks
@@ -311,10 +341,11 @@ impl CellArray {
     /// state exists to catch. Returns `false` on an empty array (nothing
     /// to corrupt).
     pub fn flip_word_bit(&mut self, sel: u64, bit: u32) -> bool {
-        if self.len == 0 {
+        let len = self.occupied();
+        if len == 0 {
             return false;
         }
-        let nth = (sel % self.len as u64) as usize;
+        let nth = (sel % len as u64) as usize;
         let idx = self
             .cells
             .iter()
@@ -362,7 +393,7 @@ mod tests {
     fn fill(a: &mut CellArray, n: usize) {
         for i in 0..n {
             assert!(a.insert(recv(i as u16, i as Tag)));
-            while a.compact_step() {}
+            while a.compact_steps(1) {}
         }
     }
 
@@ -394,7 +425,7 @@ mod tests {
         // Three identical receives, cookies 0,1,2 in post order.
         for c in 0..3 {
             assert!(a.insert(recv(5, c)));
-            while a.compact_step() {}
+            while a.compact_steps(1) {}
         }
         let (loc, tag) = a.match_probe(probe(5)).unwrap();
         assert_eq!(tag, 0, "oldest must win");
@@ -419,7 +450,7 @@ mod tests {
         assert!(a.insert(recv(0, 0)));
         // No compaction step yet: cell 0 still occupied.
         assert!(!a.insert(recv(1, 1)));
-        a.compact_step();
+        a.compact_steps(1);
         assert!(a.insert(recv(1, 1)));
     }
 
@@ -436,7 +467,7 @@ mod tests {
         // cells: [9, _, _, _, _, _, 2?, 0?] — entry 9 at bottom, others top.
         let mut steps = 0;
         while !a.is_compact() {
-            assert!(a.compact_step());
+            assert!(a.compact_steps(1));
             steps += 1;
             assert!(steps < 16, "compaction did not converge");
         }
@@ -454,7 +485,7 @@ mod tests {
         // Entry must migrate from cell 0 (block 0) into block 1.
         let mut steps = 0;
         while !a.is_compact() {
-            a.compact_step();
+            a.compact_steps(1);
             steps += 1;
             assert!(steps < 16);
         }
@@ -477,7 +508,7 @@ mod tests {
     fn wildcard_entries_match_any_source() {
         let mut a = CellArray::new(8, 4, AlpuKind::PostedReceive);
         a.insert(Entry::mpi_recv(2, None, Some(3), 42));
-        while a.compact_step() {}
+        while a.compact_steps(1) {}
         let p = Probe::exact(MatchWord::mpi(2, 777, 3));
         assert_eq!(a.match_probe(p).map(|(_, t)| t), Some(42));
     }
@@ -486,7 +517,7 @@ mod tests {
     fn unexpected_array_reverse_lookup() {
         let mut a = CellArray::new(8, 4, AlpuKind::Unexpected);
         a.insert(Entry::mpi_header(2, 10, 3, 7));
-        while a.compact_step() {}
+        while a.compact_steps(1) {}
         assert_eq!(
             a.match_probe(Probe::recv(2, None, Some(3))).map(|(_, t)| t),
             Some(7)

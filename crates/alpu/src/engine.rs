@@ -24,7 +24,7 @@
 //!   (§IV-A).
 //!
 //! Hole compaction runs concurrently on every cycle (see
-//! [`crate::block::CellArray::compact_step`]).
+//! [`crate::block::CellArray::compact_steps`]).
 
 use crate::block::CellArray;
 use crate::match_types::{Entry, Probe, Tag};
@@ -350,15 +350,16 @@ impl Alpu {
     /// times, but fast-forwarding analytically through stretches where
     /// per-cycle stepping cannot observe anything:
     ///
-    /// * **Idle** (and externally *frozen* — result-FIFO backpressure or
-    ///   insert mode with an empty command FIFO): nothing evolves, so the
-    ///   remaining cycles are consumed in O(1).
-    /// * **Op in flight over a compact array**: compaction is a no-op and
-    ///   only the countdown decrements, so the pipeline jumps straight to
-    ///   the op's completion cycle.
+    /// * **Op in flight**: only the countdown and compaction evolve, and
+    ///   nothing can insert or delete until the op completes, so the
+    ///   pipeline jumps straight to the op's completion cycle with one
+    ///   closed-form compaction over the whole stretch.
+    /// * **Frozen** (idle, result-FIFO backpressure, or insert mode with
+    ///   an empty command FIFO): no operation can start until the
+    ///   environment acts, and `frozen()` does not read the array, so the
+    ///   remaining cycles are one closed-form compaction.
     ///
-    /// Only while the array holds a migrating hole does this fall back to
-    /// per-cycle stepping, because compaction moves data every clock.
+    /// Only a cycle on which the scheduler can start an op is ticked.
     pub fn advance(&mut self, n: u64) {
         let mut left = n;
         while left > 0 {
@@ -373,21 +374,9 @@ impl Alpu {
                 left -= jump;
                 continue;
             }
-            if self.idle() {
-                self.stats.cycles += left;
-                return;
-            }
-            if !self.array.is_compact() {
-                // A hole is migrating: compaction does real work each
-                // clock, so this cycle must be stepped faithfully.
-                self.tick();
-                left -= 1;
-                continue;
-            }
             if self.op.is_some() {
-                // Compact array: compact_step is a no-op and the only
-                // per-cycle change is the countdown. Jump to completion.
                 let jump = left.min(self.op_cycles_left);
+                self.array.compact_steps(jump);
                 self.stats.cycles += jump;
                 self.stats.busy_cycles += jump;
                 self.op_cycles_left -= jump;
@@ -399,11 +388,7 @@ impl Alpu {
                 continue;
             }
             if self.frozen() {
-                // Nothing schedulable: the unit is stalled on external
-                // flow control (result FIFO full, or insert mode waiting
-                // on the processor). No internal transition can occur
-                // until the environment acts, so the remaining cycles
-                // only advance the clock.
+                self.array.compact_steps(left);
                 self.stats.cycles += left;
                 return;
             }
@@ -414,8 +399,8 @@ impl Alpu {
         }
     }
 
-    /// True when, with the pipeline empty and the array compact, a tick
-    /// would change nothing but the cycle counter: the scheduler (see
+    /// True when, with the pipeline empty, a tick would change nothing but
+    /// the cycle counter and compaction: the scheduler (see
     /// [`Alpu::tick`]'s call to `schedule`) has no eligible work. This is
     /// exactly the per-state condition under which `schedule` starts no
     /// operation and performs no state transition.
@@ -458,7 +443,7 @@ impl Alpu {
         }
         self.stats.cycles += 1;
         // Compaction logic runs every cycle, concurrent with the pipeline.
-        self.array.compact_step();
+        self.array.compact_steps(1);
 
         // If the pipeline is free, choose the next operation; it consumes
         // this cycle as its first.

@@ -11,8 +11,9 @@
 //! * [`cell`] — one matching cell: stored match bits, mask bits (posted
 //!   variant) or probe-supplied mask (unexpected variant), valid bit, tag.
 //! * [`block`] — a power-of-two block of cells: registered request, binary
-//!   priority-mux tree, match-location encoding, per-block compaction
-//!   enables ("space available" rule).
+//!   priority-mux tree, match-location encoding; and the chained cell
+//!   array's hole compaction, advanced k cycles at a time in closed form
+//!   (the "space available" rule always holds, so blocks do not gate it).
 //! * [`engine`] — the full ALPU: chained blocks, inter-block
 //!   prioritization, the controlling state machine of Fig. 3
 //!   (Match / Read Command / Insert), command+result+header FIFOs, and

@@ -3,7 +3,9 @@
 //! surviving entries, same statistics (including cycle and busy-cycle
 //! counts) — across arbitrary interleavings of headers, insert sessions
 //! (with held-probe retries), resets, response draining, and advances
-//! short enough to land mid-compaction or mid-operation.
+//! short enough to land mid-compaction or mid-operation. The cell array is
+//! compared cell by cell, so an entry in the wrong physical position shows
+//! at once rather than when it later delays an insert.
 
 use mpiq_alpu::{Alpu, AlpuConfig, AlpuKind, Command, Entry, MatchWord, Probe};
 use proptest::prelude::*;
@@ -27,7 +29,9 @@ enum Step {
     Advance(u16),
 }
 
-fn step() -> impl Strategy<Value = Step> {
+/// `max_advance` bounds one `Advance`; on the fig5 geometries it must
+/// exceed a whole migration up the chain.
+fn step(max_advance: u16) -> impl Strategy<Value = Step> {
     prop_oneof![
         5 => (0u16..6).prop_map(Step::Header),
         2 => Just(Step::StartInsert),
@@ -35,7 +39,7 @@ fn step() -> impl Strategy<Value = Step> {
         2 => Just(Step::StopInsert),
         1 => Just(Step::Reset),
         3 => Just(Step::Pop),
-        6 => (0u16..96).prop_map(Step::Advance),
+        6 => (0u16..max_advance).prop_map(Step::Advance),
     ]
 }
 
@@ -69,10 +73,20 @@ fn assert_same(fast: &Alpu, slow: &Alpu, step: usize) -> Result<(), TestCaseErro
         step
     );
     prop_assert_eq!(fast.stats(), slow.stats(), "stats diverged at step {}", step);
+    let (fa, sa) = (fast.array(), slow.array());
+    for i in 0..fa.capacity() {
+        prop_assert_eq!(
+            fa.cell(i),
+            sa.cell(i),
+            "cell {} diverged at step {}",
+            i,
+            step
+        );
+    }
     prop_assert_eq!(
-        fast.array().entries_oldest_first(),
-        slow.array().entries_oldest_first(),
-        "cell contents diverged at step {}",
+        fa.is_compact(),
+        sa.is_compact(),
+        "compactness diverged at step {}",
         step
     );
     Ok(())
@@ -144,27 +158,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn advance_equals_ticks(script in prop::collection::vec(step(), 1..60)) {
+    fn advance_equals_ticks(script in prop::collection::vec(step(96), 1..60)) {
         run(16, 4, 4096, script)?;
     }
 
     /// Shallow result FIFO: backpressure freezes are common, so the
     /// frozen fast-forward path must stay tick-identical.
     #[test]
-    fn advance_equals_ticks_under_backpressure(script in prop::collection::vec(step(), 1..60)) {
+    fn advance_equals_ticks_under_backpressure(script in prop::collection::vec(step(96), 1..60)) {
         run(16, 4, 2, script)?;
     }
 
     /// Single-block geometry (deepest per-block mux tree).
     #[test]
-    fn advance_equals_ticks_single_block(script in prop::collection::vec(step(), 1..50)) {
+    fn advance_equals_ticks_single_block(script in prop::collection::vec(step(96), 1..50)) {
         run(8, 8, 4096, script)?;
     }
 
     /// Two-cell blocks: compaction crosses many block boundaries, keeping
     /// holes in flight longer.
     #[test]
-    fn advance_equals_ticks_tiny_blocks(script in prop::collection::vec(step(), 1..50)) {
+    fn advance_equals_ticks_tiny_blocks(script in prop::collection::vec(step(96), 1..50)) {
         run(16, 2, 3, script)?;
+    }
+}
+
+proptest! {
+    // The fig5 geometries: advances up to twice the chain length span
+    // whole hole migrations inside one fast-forward.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn advance_equals_ticks_fig5_128(script in prop::collection::vec(step(256), 1..80)) {
+        run(128, 16, 4096, script)?;
+    }
+
+    #[test]
+    fn advance_equals_ticks_fig5_256(script in prop::collection::vec(step(512), 1..80)) {
+        run(256, 16, 4, script)?;
     }
 }

@@ -42,7 +42,7 @@ fn run(total: usize, block: usize, ops: Vec<ArrayOp>) -> Result<(), TestCaseErro
             }
             ArrayOp::Compact { n } => {
                 for _ in 0..n {
-                    arr.compact_step();
+                    arr.compact_steps(1);
                 }
             }
             ArrayOp::MatchDelete { tag_field } => {
@@ -71,12 +71,12 @@ fn run(total: usize, block: usize, ops: Vec<ArrayOp>) -> Result<(), TestCaseErro
 
     // Compaction converges and is idempotent at the fixed point.
     let mut guard = 0;
-    while arr.compact_step() {
+    while arr.compact_steps(1) {
         guard += 1;
         prop_assert!(guard <= total * total, "compaction did not converge");
     }
     prop_assert!(arr.is_compact());
-    prop_assert!(!arr.compact_step(), "fixed point must be stable");
+    prop_assert!(!arr.compact_steps(1), "fixed point must be stable");
     let entries = arr.entries_oldest_first();
     prop_assert_eq!(entries.as_slice(), model.as_slice());
     Ok(())

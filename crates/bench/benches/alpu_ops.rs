@@ -86,10 +86,45 @@ fn bench_insert_session(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fig5 insert pattern: a session of 8 inserts into an empty array,
+/// so every entry migrates most of the chain, then `advance` until the
+/// unit is idle. Its cost should follow the 8 entries in flight, not the
+/// cell count.
+fn bench_sparse_insert(c: &mut Criterion) {
+    let mut g = c.benchmark_group("alpu_sparse_insert");
+    for (cells, block) in [(128usize, 16usize), (256, 16)] {
+        g.throughput(Throughput::Elements(8));
+        g.bench_with_input(
+            BenchmarkId::new("batch8", format!("{cells}c{block}b")),
+            &(cells, block),
+            |b, &(cells, block)| {
+                let template = Alpu::new(AlpuConfig::new(cells, block, AlpuKind::PostedReceive));
+                b.iter_batched_ref(
+                    || template.clone(),
+                    |a| {
+                        a.push_command(Command::StartInsert).unwrap();
+                        for i in 0..8u16 {
+                            let e = Entry::mpi_recv(1, Some(0), Some(i), u32::from(i));
+                            a.push_command(Command::Insert(e)).unwrap();
+                        }
+                        a.push_command(Command::StopInsert).unwrap();
+                        a.advance(4 * cells as u64);
+                        assert!(a.idle());
+                        black_box(a.occupied())
+                    },
+                    criterion::BatchSize::SmallInput,
+                );
+            },
+        );
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_engine_match,
     bench_golden_match,
-    bench_insert_session
+    bench_insert_session,
+    bench_sparse_insert
 );
 criterion_main!(benches);
